@@ -26,8 +26,6 @@ EXIT_MISMATCH = 2
 
 WORKERS_ENV = "TOURCYCLES_WORKERS"
 
-KNOWN_C = {3: 1.0, 4: 4 / 3, 5: 1.0, 6: 1.0, 7: 1.0, 8: 332 / 315}
-
 
 @dataclass
 class RunConfig:
@@ -192,7 +190,8 @@ def _parallel_cycle_count(t: tournaments.Tournament, length: int, workers: int) 
 
 def cmd_spectrum(args) -> int:
     if args.matrix_file:
-        m = spectral.parse_matrix(open(args.matrix_file).read())
+        with open(args.matrix_file) as fh:
+            m = spectral.parse_matrix(fh.read())
         report = spectral.eigenvalues(m)
     else:
         t = _tournament_from_args(args)
@@ -248,18 +247,16 @@ def cmd_verify_lemma(args) -> int:
 def cmd_reproduce(args) -> int:
     rows = []
     worst = 0.0
+    carousel = limits.carousel_tournamenton(args.grid)
     for length in range(3, 9):
-        if length % 4 == 0:
-            grid = limits.carousel_tournamenton(args.grid)
-            construction = "carousel"
-        elif length % 2 == 0:
+        if length % 4 == 2:
             grid = limits.StepTournamenton(np.full((args.grid, args.grid), 0.5))
             construction = "quasirandom"
         else:
-            grid = limits.carousel_tournamenton(args.grid)
-            construction = "carousel"
+            grid, construction = carousel, "carousel"
         density = limits.cycle_density_W(grid, length)
-        target = KNOWN_C[length]
+        # c(l) = 1 exactly when 4 does not divide l
+        target = float(limits.conjectured_c(length).exact) if length % 4 == 0 else 1.0
         gap = abs(density - target)
         worst = max(worst, gap)
         rows.append(
@@ -283,6 +280,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_conjecture_table(args) -> int:
+    """CSV of c(l) for l = 4, 8, ...; exact values, so terms_used and truncation_bound are 0."""
     rows = []
     for length in range(4, args.max_length + 1, 4):
         cv = limits.conjectured_c(length)
@@ -312,7 +310,8 @@ def cmd_carousel(args) -> int:
 
 def cmd_sample(args) -> int:
     if args.w_grid:
-        w = limits.parse_step_tournamenton(open(args.w_grid).read())
+        with open(args.w_grid) as fh:
+            w = limits.parse_step_tournamenton(fh.read())
         t = tournaments.sample_w_random(w, args.n, args.seed)
     else:
         t = tournaments.sample_random(args.n, args.seed)

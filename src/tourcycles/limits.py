@@ -6,23 +6,28 @@ of [0,1]^2.  Its scaled matrix A = W/k is complementary, and the cycle
 density of length l is exactly 2^l * Trace(A^l).
 
 The carousel kernel sends each point to beat the half circle after it; its
-cycle densities converge to the conjectured maxima for lengths divisible by
-four, computed here by the truncated series with a certified tail bound.
+grids are circulant, so their densities come from the FFT of one row, and
+they converge to the conjectured maxima for lengths divisible by four.
+Those maxima are the series 1 + 2 * sum_i (2 / ((2i-1) pi))^l, which equals
+1 + T/(l-1)! for the tangent number T; they are computed here exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .spectral import (
     ComplementaryMatrix,
     SkewMatrix,
+    circulant_spectrum,
     eigenvalues,
     make_dominant,
     skew_spectrum,
+    trace_power,
 )
 
 __all__ = [
@@ -113,17 +118,19 @@ def cycle_density_W(w: StepTournamenton, length: int) -> float:
     """Exact cycle density of the step tournamenton: 2^l * Trace((W/k)^l)."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    a = w.values / w.k
-    return float(2**length * np.trace(np.linalg.matrix_power(a, length)))
+    return float(2**length * trace_power(w.values / w.k, length))
 
 
 @dataclass(frozen=True)
 class ConjectureValue:
-    """Truncated value of 1 + 2 * sum_i (2 / ((2i-1) pi))^l with a certified tail.
+    """Value of 1 + 2 * sum_i (2 / ((2i-1) pi))^l, exactly and as floats.
 
-    ``excess`` is the series sum without the leading 1, accumulated exactly
-    (fsum); for large l it carries the full relative precision that
-    ``value - 1.0`` would lose to rounding.
+    ``exact`` is the rational value 1 + T/(l-1)!.  ``excess`` is
+    ``exact - 1`` rounded once to a float; for large l it carries the full
+    relative precision that ``value - 1.0`` would lose to rounding, and
+    ``value`` is ``1.0 + excess``.  Nothing is truncated, so ``terms_used``
+    and ``truncation_bound`` are always 0; they remain for the columns of
+    the conjecture table.
     """
 
     length: int
@@ -131,42 +138,57 @@ class ConjectureValue:
     excess: float
     terms_used: int
     truncation_bound: float
+    exact: Fraction
+
+
+# math.pi is below pi; the next float up is above it
+_PI_ABOVE = Fraction(math.nextafter(math.pi, 4.0))
 
 
 def lower_bound_c(length: int) -> float:
-    """First series term alone: 2 * (2/pi)^l."""
-    return 2 * (2 / math.pi) ** length
+    """First series term alone, 2 * (2/pi)^l, rounded down so it stays a lower bound.
+
+    The power is taken exactly with a rational just above pi, and the result
+    is rounded to the float at or below it.
+    """
+    bound = 2 * (2 / _PI_ABOVE) ** length
+    low = float(bound)
+    return low if Fraction(low) <= bound else math.nextafter(low, 0.0)
 
 
-def conjectured_c(length: int, max_terms: int = 10**6) -> ConjectureValue:
+def _tangent_number(m: int) -> int:
+    """T = (2m-1)! [x^(2m-1)] tan x: 1, 2, 16, 272, ... for m = 1, 2, 3, 4, ...
+
+    Integer recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), O(m^2)
+    operations on exact integers.
+    """
+    t = [0, 1] + [0] * (m - 1)
+    for j in range(2, m + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[m]
+
+
+def conjectured_c(length: int) -> ConjectureValue:
     """Conjectured maximum cycle density for lengths divisible by four.
 
-    Terms are added until the next term drops below 1e-16 of the partial sum
-    and the analytic tail bound
-
-        sum_{i>N} (2i-1)^{-l} <= (2N-1)^{1-l} / (2(l-1))
-
-    certifies a relative truncation error below 1e-15.
+    By lambda(l) = (2^l - 1) |B_l| pi^l / (2 * l!) for the Dirichlet lambda
+    function, the series 1 + 2 * sum_i (2 / ((2i-1) pi))^l equals
+    1 + T/(l-1)! with T the tangent number of index l-1; the value is exact.
     """
     if length < 4 or length % 4:
         raise ValueError(f"length must be a positive multiple of 4, got {length}")
-    coeff = 2 * (2 / math.pi) ** length
-    terms: list[float] = []
-    tail = math.inf
-    for i in range(1, max_terms + 1):
-        term = 2 * (2 / ((2 * i - 1) * math.pi)) ** length
-        terms.append(term)
-        partial = 1.0 + math.fsum(terms)
-        tail = coeff * (2 * i - 1) ** (1 - length) / (2 * (length - 1))
-        if term < 1e-16 * partial and tail < 1e-15 * partial:
-            break
-    excess = math.fsum(terms)
+    exact = 1 + Fraction(_tangent_number(length // 2), math.factorial(length - 1))
+    excess = float(exact - 1)
     return ConjectureValue(
         length=length,
         value=1.0 + excess,
         excess=excess,
-        terms_used=len(terms),
-        truncation_bound=tail,
+        terms_used=0,
+        truncation_bound=0.0,
+        exact=exact,
     )
 
 
@@ -186,15 +208,8 @@ class MidtermsReport:
     row_sum_norm: float
 
 
-def _trace_pow(a: np.ndarray, power: int) -> float:
-    acc = a
-    for _ in range(power - 1):
-        acc = acc @ a
-    return float(np.trace(acc))
-
-
 def check_midterms(b) -> MidtermsReport:
-    """Evaluate the fourth- and eighth-power trace identities by explicit powering."""
+    """Evaluate the fourth- and eighth-power trace identities."""
     a = np.asarray(getattr(b, "values", b), dtype=float)
     if not isinstance(b, SkewMatrix):
         SkewMatrix(a)  # validate skewness
@@ -204,10 +219,10 @@ def check_midterms(b) -> MidtermsReport:
     j = np.ones((n, n))
     bj = a.sum(axis=1)
     norm2 = float(bj @ bj)
-    lhs4 = _trace_pow(j + a, 4)
-    rhs4 = _trace_pow(j, 4) + _trace_pow(a, 4) - 4 * n * norm2
-    lhs8 = _trace_pow(j + a, 8)
-    slack8 = _trace_pow(j, 8) + _trace_pow(a, 8) - 2 * n**5 * norm2 - lhs8
+    lhs4 = trace_power(j + a, 4)
+    rhs4 = trace_power(j, 4) + trace_power(a, 4) - 4 * n * norm2
+    lhs8 = trace_power(j + a, 8)
+    slack8 = trace_power(j, 8) + trace_power(a, 8) - 2 * n**5 * norm2 - lhs8
     return MidtermsReport(
         residual4=abs(lhs4 - rhs4),
         slack8=slack8,
@@ -266,8 +281,11 @@ def regular_second_eigenvalue(w: StepTournamenton) -> float:
     row_sums = w.values.sum(axis=1)
     if np.max(np.abs(row_sums - k / 2)) > 1e-9:
         raise ValueError("grid is not regular: row sums must all equal k/2")
-    report = eigenvalues(step_approximation(w, k))
-    vals = report.eigenvalues
+    vals = circulant_spectrum(w.values)
+    if vals is None:
+        vals = eigenvalues(step_approximation(w, k)).eigenvalues
+    else:
+        vals = vals / k
     half_pos = int(np.argmin(np.abs(vals - 0.5)))
     if abs(vals[half_pos] - 0.5) > 1e-6:
         raise ValueError("regular grid is missing its 1/2 eigenvalue")

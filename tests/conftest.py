@@ -1,12 +1,15 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here deliberately avoid the library's algorithms: cycles are
-counted by enumerating cyclic arrangements, and 4-vertex types are matched
-by explicit isomorphism search, so they can vouch for the faster paths.
+counted by enumerating cyclic arrangements, 4-vertex types are matched
+by explicit isomorphism search, and the conjectured constants are summed
+from their defining series, so they can vouch for the faster paths.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -59,6 +62,23 @@ def random_skew_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     a = np.triu(a, 1)
     return a - a.T
+
+
+# pi to 50 places, rounded up, so it lies above pi and (2/pi)^l keeps full
+# double precision far beyond l = 64
+PI_50 = Fraction("3.14159265358979323846264338327950288419716939937511")
+
+
+def series_excess(length: int, rel_tol: float = 1e-17) -> float:
+    """2 * sum_{i>=1} (2 / ((2i-1) pi))^length, truncated by its tail bound.
+
+    The tail obeys sum_{i>N} (2i-1)^-l <= (2N-1)^(1-l) / (2(l-1)) and the
+    whole sum is at least 1, so N is fixed up front to put the relative
+    truncation error below ``rel_tol``; the kept terms go through one fsum.
+    """
+    n = math.ceil(((2 * (length - 1) * rel_tol) ** (-1 / (length - 1)) + 1) / 2)
+    odd_sum = math.fsum((2 * i - 1) ** -length for i in range(1, n + 1))
+    return float(2 * (2 / PI_50) ** length) * odd_sum
 
 
 def tournament_from_edges(n: int, edges) -> Tournament:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from tourcycles.limits import (
     step_approximation,
     sumsq_extremal,
 )
-from tourcycles.spectral import eigenvalues, make_dominant, skew_part
+from tourcycles.spectral import circulant_spectrum, eigenvalues, make_dominant, skew_part
 from tourcycles.tournaments import make_carousel
 
-from conftest import random_skew_matrix
+from conftest import PI_50, random_skew_matrix, series_excess
 
 
 def constant_half(k: int) -> StepTournamenton:
@@ -37,6 +38,17 @@ def carousel_kernel_average(i: int, j: int, k: int, sub: int = 400) -> float:
     x, y = np.meshgrid(xs, ys, indexing="ij")
     t = (y - x) % 1.0
     return float(((t > 0) & (t <= 0.5)).mean())
+
+
+def random_circulant_grid(k: int, seed: int) -> StepTournamenton:
+    """Circulant grid whose first row has v[d] + v[k-d] = 1; every such grid is regular."""
+    rng = np.random.default_rng(seed)
+    half = (k - 1) // 2
+    x = rng.random(half)
+    v = np.full(k, 0.5)
+    v[1 : half + 1] = x
+    v[k - half :] = 1.0 - x[::-1]
+    return StepTournamenton(np.array([np.roll(v, i) for i in range(k)]))
 
 
 class TestCarouselGrid:
@@ -119,6 +131,40 @@ class TestCycleDensity:
         assert cycle_density_W(w, 8) <= 332 / 315 + 1e-9
 
 
+def carousel_with_swapped_pair(k: int) -> StepTournamenton:
+    """Carousel grid with cells (k/2, k-1) and (k-1, k/2) swapped.
+
+    It is still complementary but no longer circulant, and rows 0 .. k/2 - 1
+    still match their shifts, so the circulant check must read past them.
+    """
+    v = carousel_tournamenton(k).values.copy()
+    i, j = k // 2, k - 1
+    v[i, j], v[j, i] = v[j, i], v[i, j]
+    return StepTournamenton(v)
+
+
+class TestTracePaths:
+    """Densities on the FFT and the dense path against explicit matrix powers."""
+
+    @pytest.mark.parametrize(
+        "w, circulant",
+        [
+            (carousel_tournamenton(64), True),
+            (carousel_tournamenton(512), True),
+            (random_circulant_grid(15, seed=6), True),
+            (random_step_tournamenton(33, seed=5), False),
+            (carousel_with_swapped_pair(64), False),
+        ],
+        ids=["carousel64", "carousel512", "circulant15", "random33", "swapped64"],
+    )
+    def test_density_matches_matrix_power(self, w, circulant):
+        a = w.values / w.k
+        assert (circulant_spectrum(a) is not None) == circulant
+        for length in range(3, 9):
+            want = 2**length * np.trace(np.linalg.matrix_power(a, length))
+            assert cycle_density_W(w, length) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestConjecturedConstants:
     def test_c4(self):
         cv = conjectured_c(4)
@@ -146,6 +192,25 @@ class TestConjecturedConstants:
         for length in range(48, 68, 4):
             cv = conjectured_c(length)
             assert cv.excess <= (2 / math.pi + 0.01) ** length
+
+    @pytest.mark.parametrize(
+        "length, exact",
+        [(4, Fraction(4, 3)), (8, Fraction(332, 315)), (12, Fraction(157307, 155925))],
+    )
+    def test_exact_values(self, length, exact):
+        cv = conjectured_c(length)
+        assert cv.exact == exact
+        assert cv.terms_used == 0 and cv.truncation_bound == 0.0
+
+    @pytest.mark.parametrize("length", range(4, 68, 4))
+    def test_closed_form_matches_series(self, length):
+        want = series_excess(length)
+        assert abs(conjectured_c(length).excess - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("length", range(4, 68, 4))
+    def test_lower_bound_below_first_term(self, length):
+        # PI_50 lies above pi, so 2 (2/PI_50)^l is itself below the first term
+        assert Fraction(lower_bound_c(length)) <= 2 * (2 / PI_50) ** length
 
     def test_value_is_one_plus_excess(self):
         cv = conjectured_c(12)
@@ -272,6 +337,18 @@ class TestRegularSecondEigenvalue:
         mods = np.sort(np.abs(eigenvalues(a).eigenvalues))[::-1]
         distinct = sorted(set(np.round(mods, 6)), reverse=True)
         assert abs(distinct[2] - 1 / (3 * math.pi)) <= 0.01
+
+    @pytest.mark.parametrize(
+        "w",
+        [carousel_tournamenton(8), carousel_tournamenton(64), random_circulant_grid(15, 7),
+         random_circulant_grid(64, 8)],
+    )
+    def test_circulant_matches_eigvals(self, w):
+        vals = np.linalg.eigvals(w.values / w.k)
+        rest = np.delete(vals, np.argmin(np.abs(vals - 0.5)))
+        assert regular_second_eigenvalue(w) == pytest.approx(
+            float(np.max(np.abs(rest))), abs=1e-12
+        )
 
     def test_rejects_irregular_grid(self):
         w = random_step_tournamenton(8, seed=3)

@@ -9,6 +9,7 @@ from tourcycles.spectral import (
     ComplementaryMatrix,
     EigensolverError,
     SkewMatrix,
+    circulant_spectrum,
     eigenvalues,
     format_matrix,
     make_dominant,
@@ -84,6 +85,24 @@ class TestTracePower:
         lam = eigenvalues(m).eigenvalues
         assert abs(tr - np.sum(lam**3).real) <= 1e-10
         assert tr == pytest.approx(1 / 8, abs=1e-12)
+
+    def test_circulant_spectrum_matches_eigvals(self):
+        rng = np.random.default_rng(14)
+        first = rng.uniform(-1.0, 1.0, size=11)
+        a = np.array([np.roll(first, i) for i in range(11)])
+        lam = circulant_spectrum(a)
+        want = np.linalg.eigvals(a)
+        assert np.allclose(np.sort_complex(lam), np.sort_complex(want), atol=1e-12)
+        for power in range(1, 9):
+            dense = np.trace(np.linalg.matrix_power(a, power))
+            assert trace_power(a, power) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    def test_circulant_check_reads_every_row(self):
+        first = np.arange(6.0)
+        a = np.array([np.roll(first, i) for i in range(6)])
+        a[5, 0] += 1.0
+        assert circulant_spectrum(a) is None
+        assert circulant_spectrum(np.ones((2, 3))) is None
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), power=st.integers(2, 8))
