@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,47 +26,26 @@ EXIT_MISMATCH = 2
 WORKERS_ENV = "TOURCYCLES_WORKERS"
 
 
-@dataclass
-class RunConfig:
-    """Validated common settings of one CLI invocation.
+def _check_args(args):
+    """Reject bad common settings before any computation starts.
 
-    Paths are checked before any computation starts, so a long search cannot
-    fail at write time on a bad output location.
+    Paths are checked up front, so a long search cannot fail at write time
+    on a bad output location.
     """
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    seed: int = 0
-    workers: int = 1
-    grid: int = 512
-    length: int = 3
-    fmt: str = "json"
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls(
-            command=args.command,
-            input_path=getattr(args, "input", None) or getattr(args, "matrix_file", None)
-            or getattr(args, "w_grid", None),
-            output_path=getattr(args, "output", None),
-            seed=getattr(args, "seed", 0),
-            workers=getattr(args, "workers", 1),
-            grid=getattr(args, "grid", 512) or 512,
-            length=getattr(args, "length", 3),
-            fmt=getattr(args, "format", "json"),
-        )
-        if cfg.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {cfg.workers}")
-        if cfg.command in ("count", "reproduce") and cfg.length < 3:
-            raise ValueError(f"cycle length must be >= 3, got {cfg.length}")
-        if cfg.input_path is not None and not os.path.exists(cfg.input_path):
-            raise ValueError(f"input file not found: {cfg.input_path}")
-        if cfg.output_path:
-            parent = os.path.dirname(os.path.abspath(cfg.output_path))
-            if not os.path.isdir(parent):
-                raise ValueError(f"output directory does not exist: {parent}")
-        return cfg
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    length = getattr(args, "length", 3)
+    if length < 3:
+        raise ValueError(f"cycle length must be >= 3, got {length}")
+    for attr in ("input", "matrix_file", "w_grid"):
+        path = getattr(args, attr, None)
+        if path and not os.path.exists(path):
+            raise ValueError(f"input file not found: {path}")
+    if getattr(args, "output", None):
+        parent = os.path.dirname(os.path.abspath(args.output))
+        if not os.path.isdir(parent):
+            raise ValueError(f"output directory does not exist: {parent}")
 
 
 def _fmt_float(x: float) -> str:
@@ -143,10 +121,7 @@ def cmd_count(args) -> int:
     t = _tournament_from_args(args)
     if args.length > t.n:
         raise ValueError(f"cycle length {args.length} exceeds vertex count {t.n}")
-    if args.workers > 1:
-        count = _parallel_cycle_count(t, args.length, args.workers)
-    else:
-        count = tournaments.exact_cycle_count(t, args.length)
+    count = tournaments.pooled_cycle_count(t, args.length, args.workers)
     expected = tournaments.expected_random_cycles(t.n, args.length)
     density = count / expected
     tdensity = spectral.trace_density(t, args.length)
@@ -161,31 +136,6 @@ def cmd_count(args) -> int:
     }
     _emit(_render_report([row], args.format), args.output)
     return EXIT_OK
-
-
-def _count_worker(payload):
-    out, n, length, offset, stride = payload
-    from itertools import combinations, islice
-
-    t = tournaments.Tournament(n, tuple(out))
-    total = 0
-    subsets = islice(combinations(range(n), length), offset, None, stride)
-    for subset in subsets:
-        total += tournaments.exact_cycle_count(t.induced(subset), length)
-    return total
-
-
-def _parallel_cycle_count(t: tournaments.Tournament, length: int, workers: int) -> int:
-    """Partition l-subsets across workers; integer merge is order-independent."""
-    if length < 3:
-        raise ValueError(f"cycle length must be >= 3, got {length}")
-    if length > t.n:
-        return 0
-    from multiprocessing import get_context
-
-    jobs = [(list(t.out), t.n, length, off, workers) for off in range(workers)]
-    with get_context("fork").Pool(workers) as pool:
-        return sum(pool.map(_count_worker, jobs))
 
 
 def cmd_spectrum(args) -> int:
@@ -396,7 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        RunConfig.from_args(args)
+        _check_args(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

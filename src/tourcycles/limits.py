@@ -115,10 +115,13 @@ def step_approximation(w: StepTournamenton, coarse_k: int) -> ComplementaryMatri
 
 
 def cycle_density_W(w: StepTournamenton, length: int) -> float:
-    """Exact cycle density of the step tournamenton: 2^l * Trace((W/k)^l)."""
+    """Exact cycle density of the step tournamenton: 2^l * Trace((W/k)^l).
+
+    Computed as (2/k)^l * Trace(W^l), so the grid is never copied.
+    """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    return float(2**length * trace_power(w.values / w.k, length))
+    return float((2 / w.k) ** length * trace_power(w.values, length))
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,10 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from multiprocessing import get_context
 
 import numpy as np
 
-from .tournaments import Tournament
+from .tournaments import Tournament, cycle_sum, cycle_sum_width, pool_map
 
 __all__ = [
     "SkewSignMatrix",
@@ -46,6 +45,9 @@ __all__ = [
 MAX_ORDER = 12
 ORACLE_MAX_ORDER = 8
 CHECKPOINT_SCHEMA = "cyclic-index-search/v1"
+# The search holds at most this much DP state per kernel call (8 192 masks
+# at order 8); narrower slices pay more numpy call overhead per matrix.
+SEARCH_DP_BYTES = 32 << 20
 
 
 @lru_cache(maxsize=None)
@@ -146,35 +148,13 @@ def cyclic_index_def(b: SkewSignMatrix) -> int:
 
 
 def cyclic_index_fast(b: SkewSignMatrix) -> int:
-    """Cyclic index via subset DP.
+    """Cyclic index via the subset DP of ``cycle_sum``.
 
-    Signed path products from anchor vertex 0 are accumulated over
-    (visited-subset, last-vertex) states; each full path is closed with the
-    edge back to 0, and the resulting sum over cyclic orders is multiplied
-    by n since each of the n rotations of a cyclic sequence is a distinct
-    permutation in the defining sum.
+    ``cycle_sum`` sums the signed tours anchored at vertex 0, one per cyclic
+    order; each of the n rotations of a cyclic sequence is a distinct
+    permutation in the defining sum, hence the factor n.
     """
-    a = b.to_array()
-    n = b.n
-    size = 1 << n
-    dp = [[0] * n for _ in range(size)]
-    dp[1][0] = 1
-    for mask in range(1, size):
-        if not mask & 1:
-            continue
-        row = dp[mask]
-        for last in range(n):
-            val = row[last]
-            if not val:
-                continue
-            arow = a[last]
-            for nxt in range(1, n):
-                bit = 1 << nxt
-                if mask & bit:
-                    continue
-                dp[mask | bit][nxt] += val * arow[nxt]
-    final = dp[size - 1]
-    return int(b.n * sum(final[v] * a[v, 0] for v in range(1, n)))
+    return b.n * int(cycle_sum(b.to_array()[:, :, None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,48 +271,27 @@ def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
     return mask
 
 
+def _sign_tensor(n: int, masks: np.ndarray, restrict: bool) -> np.ndarray:
+    """Sign matrices of a batch of enumeration masks, shape (n, n, batch)."""
+    w = np.zeros((n, n, len(masks)), dtype=np.int8)
+    if restrict:
+        w[0, 1:] = 1
+        w[1:, 0] = -1
+    for t, (i, j) in enumerate(_free_pairs(n, restrict)):
+        s = ((masks >> t) & 1) * 2 - 1
+        w[i, j] = s
+        w[j, i] = -s
+    return w
+
+
 def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.ndarray:
-    """Cyclic indices for a batch of enumeration masks (vectorized subset DP)."""
-    free = _free_pairs(n, restrict)
+    """Cyclic indices for a batch of enumeration masks, in slices of bounded DP state."""
     masks = np.asarray(masks, dtype=np.int64)
-    m = masks.shape[0]
-    sgn: dict[tuple[int, int], np.ndarray | None] = {p: None for p in _pairs(n)}
-    for t, pair in enumerate(free):
-        sgn[pair] = (((masks >> t) & 1) * 2 - 1).astype(np.int32)
-    half = 1 << (n - 1)
-    dp = np.zeros((half, n, m), dtype=np.int32)
-    dp[0, 0, :] = 1
-    tmp = np.empty(m, dtype=np.int32)
-    for r in range(half):
-        lasts = [0] if r == 0 else [v for v in range(1, n) if r & (1 << (v - 1))]
-        for last in lasts:
-            src = dp[r, last]
-            for v in range(1, n):
-                if v == last or r & (1 << (v - 1)):
-                    continue
-                pair = (last, v) if last < v else (v, last)
-                sg = sgn[pair]
-                dst = dp[r | (1 << (v - 1)), v]
-                if sg is None:  # fixed +1 entry
-                    if last < v:
-                        np.add(dst, src, out=dst)
-                    else:
-                        np.subtract(dst, src, out=dst)
-                elif last < v:
-                    np.multiply(src, sg, out=tmp)
-                    np.add(dst, tmp, out=dst)
-                else:
-                    np.multiply(src, sg, out=tmp)
-                    np.subtract(dst, tmp, out=dst)
-    closing = np.zeros(m, dtype=np.int64)
-    for v in range(1, n):
-        sg = sgn[(0, v)]
-        contrib = dp[half - 1, v].astype(np.int64)
-        if sg is None:
-            closing -= contrib  # entry (v, 0) = -1
-        else:
-            closing -= contrib * sg
-    return n * closing
+    width = cycle_sum_width(n, SEARCH_DP_BYTES)
+    return np.concatenate([
+        n * cycle_sum(_sign_tensor(n, masks[lo:lo + width], restrict))
+        for lo in range(0, len(masks), width)
+    ])
 
 
 def _slice_orbit_masks(b: SkewSignMatrix) -> np.ndarray:
@@ -389,22 +348,11 @@ class SearchReport:
 
 
 def _scan_chunk(args) -> tuple[int, int, int, list[int]]:
-    n, restrict, lo, hi, batch = args
-    best = None
-    worst = None
-    achievers: list[int] = []
-    for start in range(lo, hi, batch):
-        masks = np.arange(start, min(start + batch, hi), dtype=np.int64)
-        vals = batch_cyclic_index(n, masks, restrict)
-        vmax = int(vals.max())
-        vmin = int(vals.min())
-        worst = vmin if worst is None else min(worst, vmin)
-        if best is None or vmax > best:
-            best = vmax
-            achievers = []
-        if vmax == best:
-            achievers.extend(int(x) for x in masks[vals == vmax])
-    return lo, best, worst, achievers
+    n, restrict, lo, hi = args
+    masks = np.arange(lo, hi, dtype=np.int64)
+    vals = batch_cyclic_index(n, masks, restrict)
+    best = int(vals.max())
+    return lo, best, int(vals.min()), masks[vals == best].tolist()
 
 
 def _load_checkpoint(path: str, params: dict) -> dict:
@@ -426,7 +374,6 @@ def search_max_cyclic_index(
     restrict_first_row: bool = True,
     checkpoint_path: str | None = None,
     chunk_size: int = 1 << 16,
-    batch_size: int = 1 << 13,
 ) -> SearchReport:
     """Exhaust all sign matrices of the given order and report the maximum.
 
@@ -441,8 +388,6 @@ def search_max_cyclic_index(
         raise ValueError(f"search supports orders 4 and 8, got {order}")
     if not restrict_first_row and order != 4:
         raise ValueError("full (unrestricted) enumeration is only supported at order 4")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     t0 = time.time()
     nbits = len(_free_pairs(order, restrict_first_row))
     total = 1 << nbits
@@ -458,7 +403,7 @@ def search_max_cyclic_index(
 
     starts = list(range(0, total, chunk_size))
     pending = [
-        (order, restrict_first_row, lo, min(lo + chunk_size, total), batch_size)
+        (order, restrict_first_row, lo, min(lo + chunk_size, total))
         for lo in starts
         if str(lo) not in done
     ]
@@ -472,14 +417,8 @@ def search_max_cyclic_index(
                 json.dump(payload, fh)
             os.replace(tmp_path, checkpoint_path)
 
-    if workers == 1 or len(pending) <= 1:
-        for job in pending:
-            lo, best, worst, ach = _scan_chunk(job)
-            record(lo, best, worst, ach)
-    else:
-        with get_context("fork").Pool(workers) as pool:
-            for lo, best, worst, ach in pool.imap(_scan_chunk, pending):
-                record(lo, best, worst, ach)
+    for lo, best, worst, ach in pool_map(_scan_chunk, pending, workers):
+        record(lo, best, worst, ach)
 
     gmax = max(c["max"] for c in done.values())
     gmin = min(c["min"] for c in done.values())

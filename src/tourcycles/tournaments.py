@@ -1,22 +1,24 @@
 """Tournaments, generators and exact directed-cycle counting.
 
 A tournament on n vertices is an orientation of the complete graph K_n.
-Adjacency is stored as one out-neighbour bitset per vertex, which keeps
-subset manipulation cheap for the subset dynamic programs used below.
+Adjacency is stored as one out-neighbour bitset per vertex.
 
-Exact counting works at desk scale (n <= 20, cycle length <= 9): cycles of
-length ``l`` are counted by iterating over l-subsets and counting directed
-Hamiltonian cycles of each induced subtournament with a DP over
-(visited-subset, last-vertex) states anchored at the subset's least vertex,
-O(binom(n,l) * 2^l * l^2) overall.
+Exact counting streams the l-subsets of the vertices through one batched
+subset DP, ``cycle_sum``, which counts the directed Hamiltonian cycles of
+each induced subtournament over (visited-subset, last-vertex) states
+anchored at the subset's least vertex: O(binom(n,l) * 2^l * l^2) overall.
+The same kernel computes the cyclic index of sign matrices (signsearch);
+its integer dtype is sized from a proven bound, so it is exact for every
+cycle length l <= 21 and refuses longer ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from multiprocessing import get_context
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +30,9 @@ __all__ = [
     "make_transitive",
     "sample_random",
     "sample_w_random",
+    "cycle_sum",
     "exact_cycle_count",
+    "pooled_cycle_count",
     "goodman_count3",
     "expected_random_cycles",
     "normalized_density",
@@ -36,6 +40,10 @@ __all__ = [
     "parse_tournament",
     "format_tournament",
 ]
+
+# Cycle counting holds at most this much DP state at once; the peak RSS of
+# a count grows by about 1 MB per MiB held.
+COUNT_DP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,18 +90,6 @@ class Tournament:
         full = (1 << n) - 1
         rev = [full & ~(1 << i) & ~self.out[i] for i in range(n)]
         return Tournament(n, tuple(rev))
-
-    def induced(self, vertices: Sequence[int]) -> "Tournament":
-        """Subtournament on ``vertices``, relabelled 0..m-1 in the given order."""
-        m = len(vertices)
-        out = []
-        for a in range(m):
-            bits = 0
-            for b in range(m):
-                if a != b and self.beats(vertices[a], vertices[b]):
-                    bits |= 1 << b
-            out.append(bits)
-        return Tournament(m, tuple(out))
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix, A[i, j] = 1 iff i beats j."""
@@ -205,52 +201,112 @@ def sample_w_random(w, n: int, seed: int) -> Tournament:
     return Tournament(n, tuple(out))
 
 
-def _hamiltonian_cycle_count(out: Sequence[int], m: int) -> int:
-    """Directed Hamiltonian cycles of an m-vertex tournament given as bitsets.
+def _dp_dtype(m: int):
+    """Narrowest integer dtype for cycle_sum at order m.
 
-    Subset DP anchored at vertex 0: dp[(mask, last)] counts directed paths
-    0 -> ... -> last visiting exactly ``mask``; each full path is closed by
-    the edge last -> 0.  Anchoring fixes the rotation, and the reverse
-    traversal is impossible in a tournament, so each cycle is counted once.
+    A partial path sum is a signed count of at most (m-1)! paths, so int32
+    is exact through m = 13 and int64 through m = 21.
     """
-    full = (1 << m) - 1
-    dp = [[0] * m for _ in range(1 << m)]
-    dp[1][0] = 1
-    for mask in range(1, 1 << m):
-        if not mask & 1:
-            continue
-        row = dp[mask]
-        for last in range(m):
-            cnt = row[last]
-            if not cnt:
-                continue
-            free = full & ~mask & out[last]
-            while free:
-                low = free & -free
-                nxt = low.bit_length() - 1
-                dp[mask | low][nxt] += cnt
-                free &= free - 1
-    final = dp[full]
-    return sum(final[v] for v in range(1, m) if out[v] & 1)
+    bound = math.factorial(m - 1)
+    if bound < 2**31:
+        return np.int32
+    if bound < 2**63:
+        return np.int64
+    raise ValueError(f"cycle_sum supports orders up to 21, got {m}")
+
+
+def cycle_sum_width(m: int, budget: int) -> int:
+    """Most order-m matrices whose cycle_sum DP state fits in ``budget`` bytes (at least 1)."""
+    per_matrix = (1 << (m - 1)) * m * np.dtype(_dp_dtype(m)).itemsize
+    return max(1, budget // per_matrix)
+
+
+def cycle_sum(w: np.ndarray) -> np.ndarray:
+    """Weighted sums over the Hamiltonian cycles through vertex 0, one per matrix.
+
+    ``w`` has shape (m, m, batch): a batch of m x m weight matrices with
+    entries in {-1, 0, 1}, batch on the last axis.  Each directed cycle
+    0 -> v1 -> ... -> v_{m-1} -> 0 contributes the product of its m weights;
+    the result is int64[batch].  Bellman / Held-Karp subset DP:
+    dp[r, last] sums the paths from 0 that visit exactly the vertex set r
+    (bit v-1 for vertex v) and end at ``last``.  For a 0/1 tournament
+    adjacency this counts its directed Hamiltonian cycles, each once since
+    the anchor fixes the rotation; for a skew sign matrix it is the cyclic
+    index divided by m.
+    """
+    m = w.shape[0]
+    dtype = _dp_dtype(m)
+    w = np.ascontiguousarray(w, dtype=dtype)
+    batch = w.shape[2]
+    rows = [[w[a, b] for b in range(m)] for a in range(m)]
+    full = (1 << (m - 1)) - 1
+    dp = np.zeros((full + 1, m, batch), dtype=dtype)
+    dp[0, 0] = 1
+    tmp = np.empty(batch, dtype=dtype)
+    for r in range(full):
+        visited = [v for v in range(1, m) if r >> (v - 1) & 1]
+        free = [v for v in range(1, m) if not r >> (v - 1) & 1]
+        for last in visited or [0]:
+            src, row = dp[r, last], rows[last]
+            for v in free:
+                dst = dp[r | 1 << (v - 1), v]
+                np.multiply(src, row[v], out=tmp)
+                np.add(dst, tmp, out=dst)
+    total = np.zeros(batch, dtype=np.int64)
+    for v in range(1, m):
+        total += dp[full, v] * w[v, 0].astype(np.int64)
+    return total
+
+
+def _count_range(job: tuple[np.ndarray, int, int, int]) -> int:
+    """Cycles of the given length on the l-subsets lo..hi-1 in lexicographic order."""
+    adj, length, lo, hi = job
+    subsets = islice(combinations(range(len(adj)), length), lo, hi)
+    width = cycle_sum_width(length, COUNT_DP_BYTES)
+    total = 0
+    while chunk := list(islice(subsets, width)):
+        idx = np.array(chunk).T  # idx[a, s] is the a-th vertex of subset s
+        total += int(cycle_sum(adj[idx[:, None, :], idx[None, :, :]]).sum())
+    return total
+
+
+def pool_map(fn, jobs: list, workers: int):
+    """Yield fn(job) for every job, in job order.
+
+    Runs inline when ``workers`` is 1 or there is at most one job, and in a
+    fork pool of ``workers`` processes otherwise.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(jobs) <= 1:
+        yield from map(fn, jobs)
+        return
+    with get_context("fork").Pool(workers) as pool:
+        yield from pool.imap(fn, jobs)
 
 
 def exact_cycle_count(t: Tournament, length: int) -> int:
     """Exact number of directed cycles of the given length in ``t``."""
+    return pooled_cycle_count(t, length, 1)
+
+
+def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
+    """``exact_cycle_count`` with the l-subsets split into ``workers`` contiguous ranges.
+
+    Each range is counted by one worker of ``pool_map``; the integer sum
+    does not depend on the split.
+    """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > t.n:
         return 0
-    total = 0
-    for subset in combinations(range(t.n), length):
-        out = []
-        for a in range(length):
-            bits = 0
-            for b in range(length):
-                if a != b and t.out[subset[a]] & (1 << subset[b]):
-                    bits |= 1 << b
-            out.append(bits)
-        total += _hamiltonian_cycle_count(out, length)
-    return total
+    adj = t.adjacency()
+    total = math.comb(t.n, length)
+    jobs = [
+        (adj, length, total * k // workers, total * (k + 1) // workers)
+        for k in range(workers)
+    ]
+    return sum(pool_map(_count_range, jobs, workers))
 
 
 def goodman_count3(t: Tournament) -> int:

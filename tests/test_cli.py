@@ -40,6 +40,18 @@ class TestCount:
         multi = run_cli("count", "--carousel", "9", "--length", "4", "--workers", "3")
         assert json.loads(base[1])["count"] == json.loads(multi[1])["count"]
 
+    def test_workers_split_uneven_ranges(self):
+        # 126 subsets do not split evenly over 4 workers; unlike the carousel,
+        # this tournament has cycles among the last subsets
+        args = ("count", "--random", "9", "--seed", "3", "--length", "4")
+        base = run_cli(*args)
+        multi = run_cli(*args, "--workers", "4")
+        assert multi == base and base[0] == EXIT_OK
+
+    def test_zero_workers_is_usage_error(self):
+        code, out, err = run_cli("count", "--random", "8", "--workers", "0")
+        assert code == EXIT_USAGE and out == "" and "workers" in err
+
     def test_file_input(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text(format_tournament(make_carousel(5)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourcycles.signsearch import (
+    SEARCH_DP_BYTES,
     SkewSignMatrix,
     batch_cyclic_index,
     canonical_form,
@@ -20,7 +21,7 @@ from tourcycles.signsearch import (
     transform_sign_matrix,
 )
 from tourcycles.spectral import trace_power
-from tourcycles.tournaments import exact_cycle_count, four_profile
+from tourcycles.tournaments import cycle_sum_width, exact_cycle_count, four_profile
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -102,18 +103,30 @@ class TestCyclicIndex:
             b = random_sign_matrix(n, rng)
             assert cyclic_index_fast(b) == cyclic_index_fast(random_transform(b, rng))
 
-    def test_batch_agrees_with_fast(self):
+    def test_batch_agrees_with_def(self):
+        # the permutation sum takes about 0.15 s per order-8 matrix
         rng = np.random.default_rng(7)
-        masks = rng.integers(0, 1 << 21, size=50, dtype=np.int64)
-        vals = batch_cyclic_index(8, masks, restrict=True)
+        masks = rng.integers(0, 1 << 21, size=8, dtype=np.int64).tolist()
+        masks.append(matrix_to_mask(fixtures().d8_alt))
+        vals = batch_cyclic_index(8, np.array(masks), restrict=True)
         for mask, val in zip(masks, vals):
-            assert val == cyclic_index_fast(mask_to_matrix(8, int(mask), restrict=True))
+            assert val == cyclic_index_def(mask_to_matrix(8, mask, restrict=True))
 
     def test_batch_full_enumeration_agrees(self):
         masks = np.arange(1 << 6, dtype=np.int64)
         vals = batch_cyclic_index(4, masks, restrict=False)
         for mask, val in zip(masks, vals):
-            assert val == cyclic_index_fast(mask_to_matrix(4, int(mask), restrict=False))
+            assert val == cyclic_index_def(mask_to_matrix(4, int(mask), restrict=False))
+
+    def test_batch_crosses_slice_edge(self):
+        assert cycle_sum_width(8, SEARCH_DP_BYTES) == 8192
+        rng = np.random.default_rng(10)
+        masks = rng.integers(0, 1 << 21, size=8193, dtype=np.int64)
+        masks[8192] = matrix_to_mask(fixtures().d8_alt)
+        vals = batch_cyclic_index(8, masks)
+        assert vals[8192] == 2176
+        for k in (0, 8191, 8192):
+            assert vals[k] == cyclic_index_def(mask_to_matrix(8, int(masks[k])))
 
     def test_trace_bounds_cyclic_index(self):
         d8 = dominant_sign(8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tourcycles.tournaments import (
     DegreeSequence,
     Tournament,
+    cycle_sum,
     exact_cycle_count,
     expected_random_cycles,
     format_tournament,
@@ -156,6 +158,25 @@ class TestCycleCounting:
     def test_reversal_preserves_counts(self, n, bits, length):
         t = tournament_from_bits(n, bits & ((1 << (n * (n - 1) // 2)) - 1))
         assert exact_cycle_count(t, length) == exact_cycle_count(t.reverse(), length)
+
+
+class TestCycleSum:
+    @pytest.mark.parametrize("m", [13, 14])
+    def test_complete_digraph_has_every_order(self, m):
+        # J - I closes all (m-1)! orderings; 14 is the first order past int32
+        w = np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8)
+        assert cycle_sum(w[:, :, None]).tolist() == [math.factorial(m - 1)]
+
+    def test_order_22_refused_before_allocating(self):
+        w = np.ones((22, 22, 1), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                cycle_sum(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGoodman:
