@@ -46,8 +46,9 @@ MAX_ORDER = 12
 ORACLE_MAX_ORDER = 8
 CHECKPOINT_SCHEMA = "cyclic-index-search/v1"
 # The search holds at most this much DP state per kernel call (8 192 masks
-# at order 8); narrower slices pay more numpy call overhead per matrix.
-SEARCH_DP_BYTES = 32 << 20
+# of int16 state at order 8); narrower slices pay more numpy call overhead
+# per matrix.
+SEARCH_DP_BYTES = 16 << 20
 
 
 @lru_cache(maxsize=None)
@@ -355,17 +356,39 @@ def _scan_chunk(args) -> tuple[int, int, int, list[int]]:
     return lo, best, int(vals.min()), masks[vals == best].tolist()
 
 
-def _load_checkpoint(path: str, params: dict) -> dict:
+def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
+    """Finished chunks recorded in a checkpoint, after checking every field the merge reads.
+
+    Keys must be the aligned chunk starts str(lo), 0 <= lo < total, and each
+    record needs int ``max`` and ``min`` and a list of int ``achievers``
+    inside its chunk; anything else raises ValueError.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    if data.get("schema") != CHECKPOINT_SCHEMA:
-        raise ValueError(
-            f"checkpoint schema {data.get('schema')!r} does not match {CHECKPOINT_SCHEMA!r}"
-        )
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != CHECKPOINT_SCHEMA:
+        raise ValueError(f"checkpoint schema {schema!r} does not match {CHECKPOINT_SCHEMA!r}")
     for key, val in params.items():
         if data.get(key) != val:
             raise ValueError(f"checkpoint parameter {key}={data.get(key)!r} differs from {val!r}")
-    return data
+    chunks = data.get("chunks")
+    if not isinstance(chunks, dict):
+        raise ValueError("checkpoint has no 'chunks' object")
+    step = params["chunk_size"]
+    for key, rec in chunks.items():
+        lo = int(key) if key.isdecimal() else -1
+        if str(lo) != key or lo % step or lo >= total:
+            raise ValueError(f"checkpoint chunk key {key!r} is not a chunk start")
+        hi = min(lo + step, total)
+        if not (
+            isinstance(rec, dict)
+            and type(rec.get("max")) is int
+            and type(rec.get("min")) is int
+            and isinstance(rec.get("achievers"), list)
+            and all(type(a) is int and lo <= a < hi for a in rec["achievers"])
+        ):
+            raise ValueError(f"checkpoint chunk {key} needs int max, min and in-chunk achievers")
+    return chunks
 
 
 def search_max_cyclic_index(
@@ -399,7 +422,7 @@ def search_max_cyclic_index(
     }
     done: dict[str, dict] = {}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        done = _load_checkpoint(checkpoint_path, params)["chunks"]
+        done = _load_checkpoint(checkpoint_path, params, total)
 
     starts = list(range(0, total, chunk_size))
     pending = [

@@ -7,16 +7,18 @@ Exact counting streams the l-subsets of the vertices through one batched
 subset DP, ``cycle_sum``, which counts the directed Hamiltonian cycles of
 each induced subtournament over (visited-subset, last-vertex) states
 anchored at the subset's least vertex: O(binom(n,l) * 2^l * l^2) overall.
-The same kernel computes the cyclic index of sign matrices (signsearch);
-its integer dtype is sized from a proven bound, so it is exact for every
-cycle length l <= 21 and refuses longer ones.
+The DP is in pull form: each state is computed once from the states of
+its subset minus its last vertex.  The same kernel computes the cyclic
+index of sign matrices (signsearch).  Its integer dtype is the narrowest
+of int16, int32 and int64 that a proven bound allows, so it is exact for
+every cycle length l <= 21 and refuses longer ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from multiprocessing import get_context
 from typing import Iterable
 
@@ -204,14 +206,13 @@ def sample_w_random(w, n: int, seed: int) -> Tournament:
 def _dp_dtype(m: int):
     """Narrowest integer dtype for cycle_sum at order m.
 
-    A partial path sum is a signed count of at most (m-1)! paths, so int32
-    is exact through m = 13 and int64 through m = 21.
+    A partial path sum is a signed count of at most (m-1)! paths, so int16
+    is exact through m = 8, int32 through m = 13 and int64 through m = 21.
     """
     bound = math.factorial(m - 1)
-    if bound < 2**31:
-        return np.int32
-    if bound < 2**63:
-        return np.int64
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
     raise ValueError(f"cycle_sum supports orders up to 21, got {m}")
 
 
@@ -227,31 +228,38 @@ def cycle_sum(w: np.ndarray) -> np.ndarray:
     ``w`` has shape (m, m, batch): a batch of m x m weight matrices with
     entries in {-1, 0, 1}, batch on the last axis.  Each directed cycle
     0 -> v1 -> ... -> v_{m-1} -> 0 contributes the product of its m weights;
-    the result is int64[batch].  Bellman / Held-Karp subset DP:
-    dp[r, last] sums the paths from 0 that visit exactly the vertex set r
-    (bit v-1 for vertex v) and end at ``last``.  For a 0/1 tournament
-    adjacency this counts its directed Hamiltonian cycles, each once since
-    the anchor fixes the rotation; for a skew sign matrix it is the cyclic
-    index divided by m.
+    the result is int64[batch].  Bellman / Held-Karp subset DP in pull
+    form: dp[r, v] sums the paths from 0 that visit exactly the vertex set r
+    (bit v-1 for vertex v) and end at v, dp[{v}, v] = w[0, v] and
+
+        dp[r, v] = sum over u in r without v of dp[r without v, u] * w[u, v],
+
+    so each state is written once, from a multiply and in-place adds whose
+    operands stay in cache.  The DP runs in the dtype of ``_dp_dtype``; the
+    final sum over v is int64.  For a 0/1 tournament adjacency this counts
+    its directed Hamiltonian cycles, each once since the anchor fixes the
+    rotation; for a skew sign matrix it is the cyclic index divided by m.
     """
     m = w.shape[0]
     dtype = _dp_dtype(m)
     w = np.ascontiguousarray(w, dtype=dtype)
     batch = w.shape[2]
-    rows = [[w[a, b] for b in range(m)] for a in range(m)]
     full = (1 << (m - 1)) - 1
-    dp = np.zeros((full + 1, m, batch), dtype=dtype)
-    dp[0, 0] = 1
+    dp = np.empty((full + 1, m, batch), dtype=dtype)
+    for v in range(1, m):
+        dp[1 << (v - 1), v] = w[0, v]
     tmp = np.empty(batch, dtype=dtype)
-    for r in range(full):
+    for r in range(1, full + 1):  # r without v < r: predecessors come first
         visited = [v for v in range(1, m) if r >> (v - 1) & 1]
-        free = [v for v in range(1, m) if not r >> (v - 1) & 1]
-        for last in visited or [0]:
-            src, row = dp[r, last], rows[last]
-            for v in free:
-                dst = dp[r | 1 << (v - 1), v]
-                np.multiply(src, row[v], out=tmp)
-                np.add(dst, tmp, out=dst)
+        if len(visited) < 2:
+            continue
+        for v in visited:
+            dst, src, col = dp[r, v], dp[r & ~(1 << (v - 1))], w[:, v]
+            first, *rest = [u for u in visited if u != v]
+            np.multiply(src[first], col[first], out=dst)
+            for u in rest:
+                np.multiply(src[u], col[u], out=tmp)
+                dst += tmp
     total = np.zeros(batch, dtype=np.int64)
     for v in range(1, m):
         total += dp[full, v] * w[v, 0].astype(np.int64)
@@ -264,8 +272,10 @@ def _count_range(job: tuple[np.ndarray, int, int, int]) -> int:
     subsets = islice(combinations(range(len(adj)), length), lo, hi)
     width = cycle_sum_width(length, COUNT_DP_BYTES)
     total = 0
-    while chunk := list(islice(subsets, width)):
-        idx = np.array(chunk).T  # idx[a, s] is the a-th vertex of subset s
+    # subsets stream straight into an index array: a list of per-subset
+    # tuples would be the largest temporary of a count
+    while (flat := np.fromiter(chain.from_iterable(islice(subsets, width)), np.intp)).size:
+        idx = flat.reshape(-1, length).T  # idx[a, s] is the a-th vertex of subset s
         total += int(cycle_sum(adj[idx[:, None, :], idx[None, :, :]]).sum())
     return total
 
@@ -300,7 +310,7 @@ def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > t.n:
         return 0
-    adj = t.adjacency()
+    adj = t.adjacency().astype(np.int8)  # keeps the subset gathers small
     total = math.comb(t.n, length)
     jobs = [
         (adj, length, total * k // workers, total * (k + 1) // workers)

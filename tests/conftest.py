@@ -1,9 +1,10 @@
 """Shared oracles and generators for the test suite.
 
-The oracles here deliberately avoid the library's algorithms: cycles are
-counted by enumerating cyclic arrangements, 4-vertex types are matched
-by explicit isomorphism search, and the conjectured constants are summed
-from their defining series, so they can vouch for the faster paths.
+The oracles here deliberately avoid the library's algorithms: cycles and
+weighted cycle sums are found by enumerating cyclic arrangements, 4-vertex
+types are matched by explicit isomorphism search, and the conjectured
+constants are summed from their defining series, so they can vouch for
+the faster paths.
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ def brute_cycle_count(t: Tournament, length: int) -> int:
                 t.beats(cycle[i], cycle[(i + 1) % length]) for i in range(length)
             ):
                 total += 1
+    return total
+
+
+def brute_cycle_sum(w: np.ndarray) -> int:
+    """Sum over the orderings 0 -> p1 -> ... -> p_{m-1} -> 0 of the product of the m weights."""
+    m = len(w)
+    total = 0
+    for rest in permutations(range(1, m)):
+        cycle = (0,) + rest
+        prod = 1
+        for i in range(m):
+            prod *= int(w[cycle[i], cycle[(i + 1) % m]])
+            if not prod:
+                break
+        total += prod
     return total
 
 

@@ -166,6 +166,42 @@ class TestVerifyLemma:
         assert code == EXIT_OK and path.exists()
         assert json.loads(path.read_text())["schema"].startswith("cyclic-index-search")
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d.pop("chunks"),
+            lambda d: d.update(chunks=[]),
+            lambda d: d["chunks"].update({"5": {"max": 9999, "min": 0, "achievers": [5]}}),
+            lambda d: d["chunks"].update({"8": d["chunks"]["0"]}),
+            lambda d: d["chunks"].update({"00": d["chunks"]["0"]}),
+            lambda d: d["chunks"]["0"].pop("achievers"),
+            lambda d: d["chunks"]["0"].update(max="8"),
+            lambda d: d["chunks"]["0"].update(min=None),
+            lambda d: d["chunks"]["0"].update(achievers=[8]),
+        ],
+        ids=[
+            "no-chunks", "chunks-not-object", "unaligned-key", "key-past-end",
+            "padded-key", "no-achievers", "max-not-int", "min-not-int",
+            "achiever-outside-chunk",
+        ],
+    )
+    def test_corrupt_checkpoint_is_usage_error(self, tmp_path, corrupt):
+        # order 4, restricted: 8 matrices in the one chunk "0"
+        path = tmp_path / "ck.json"
+        assert run_cli("verify-lemma", "--order", "4", "--checkpoint", str(path))[0] == EXIT_OK
+        data = json.loads(path.read_text())
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli("verify-lemma", "--order", "4", "--checkpoint", str(path))
+        assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["", '{"schema": "cyclic-index-search/v1", "chu', "[]"])
+    def test_unreadable_checkpoint_is_usage_error(self, tmp_path, text):
+        path = tmp_path / "ck.json"
+        path.write_text(text)
+        code, _, err = run_cli("verify-lemma", "--order", "4", "--checkpoint", str(path))
+        assert code == EXIT_USAGE and err.startswith("error:")
+
 
 class TestReproduce:
     def test_small_grid_within_loose_tolerance(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tourcycles.tournaments import (
     DegreeSequence,
     Tournament,
+    _dp_dtype,
     cycle_sum,
     exact_cycle_count,
     expected_random_cycles,
@@ -26,6 +27,7 @@ from tourcycles.tournaments import (
 from conftest import (
     all_tournaments,
     brute_cycle_count,
+    brute_cycle_sum,
     random_tournament,
     tournament_from_bits,
 )
@@ -161,11 +163,25 @@ class TestCycleCounting:
 
 
 class TestCycleSum:
-    @pytest.mark.parametrize("m", [13, 14])
+    @pytest.mark.parametrize("m", [8, 9, 10, 13, 14])
     def test_complete_digraph_has_every_order(self, m):
-        # J - I closes all (m-1)! orderings; 14 is the first order past int32
+        # J - I closes all (m-1)! orderings; 8/9 and 13/14 straddle the
+        # int16 and int32 rungs, and at 10 a partial sum (8! paths) first
+        # leaves int16
         w = np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8)
         assert cycle_sum(w[:, :, None]).tolist() == [math.factorial(m - 1)]
+
+    def test_dtype_rungs_follow_the_factorial_bound(self):
+        rungs = [_dp_dtype(m) for m in (3, 8, 9, 13, 14, 21)]
+        assert rungs == [np.int16, np.int16, np.int32, np.int32, np.int64, np.int64]
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(3, 9), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_permutation_sum(self, m, batch, seed):
+        # neither skew nor +-1: zeros and both orientations of a pair occur
+        w = np.random.default_rng(seed).integers(-1, 2, size=(m, m, batch), dtype=np.int8)
+        expect = [brute_cycle_sum(w[:, :, k]) for k in range(batch)]
+        assert cycle_sum(w).tolist() == expect
 
     def test_order_22_refused_before_allocating(self):
         w = np.ones((22, 22, 1), dtype=np.int8)
