@@ -10,6 +10,16 @@ order is found by exhausting all matrices whose first row is +1 (every
 sign-equivalence class has such representatives), which leaves 2^binom(n-1,2)
 candidates: 8 at order 4 and 2 097 152 at order 8.
 
+The search does not evaluate those candidates one by one.  A tour uses
+each vertex pair at most once, so Cycl is a multilinear polynomial in the
+free signs with at most (n-1)! nonzero +/-1 coefficients, one per tour
+anchored at vertex 0; its values at all 2^k sign patterns are one
+unnormalised Walsh-Hadamard transform of that coefficient vector (the
+Fourier expansion on the Boolean cube, evaluated by the fast transform).
+``cyclic_index_fast`` keeps the subset DP of ``tournaments.cycle_sum`` and
+``cyclic_index_def`` the literal permutation sum; both re-check the
+search's answers independently.
+
 Sign-equivalence means symmetric row/column permutation combined with
 flipping the signs of a set of rows and the same set of columns; the cyclic
 index is invariant under it.
@@ -26,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tournaments import Tournament, cycle_sum, cycle_sum_width, pool_map
+from .tournaments import Tournament, _dp_dtype, cycle_sum, pool_map
 
 __all__ = [
     "SkewSignMatrix",
@@ -45,10 +55,6 @@ __all__ = [
 MAX_ORDER = 12
 ORACLE_MAX_ORDER = 8
 CHECKPOINT_SCHEMA = "cyclic-index-search/v1"
-# The search holds at most this much DP state per kernel call (8 192 masks
-# of int16 state at order 8); narrower slices pay more numpy call overhead
-# per matrix.
-SEARCH_DP_BYTES = 16 << 20
 
 
 @lru_cache(maxsize=None)
@@ -134,18 +140,16 @@ def dominant_sign(n: int) -> SkewSignMatrix:
 
 
 def cyclic_index_def(b: SkewSignMatrix) -> int:
-    """Cyclic index by the literal sum over all n! permutations (oracle, n <= 8)."""
+    """Cyclic index by the literal sum over all n! permutations (oracle, n <= 8).
+
+    One int8 gather takes the n entries each permutation steps through;
+    their products are taken and summed in int64.
+    """
     if b.n > ORACLE_MAX_ORDER:
         raise ValueError(f"permutation-sum oracle limited to order {ORACLE_MAX_ORDER}")
-    a = b.to_array()
-    n = b.n
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        prod = 1
-        for i in range(n):
-            prod *= a[perm[i], perm[(i + 1) % n]]
-        total += prod
-    return int(total)
+    perms = _all_perms(b.n)
+    steps = b.to_array().astype(np.int8)[perms, np.roll(perms, -1, axis=1)]
+    return int(steps.prod(axis=1, dtype=np.int64).sum())
 
 
 def cyclic_index_fast(b: SkewSignMatrix) -> int:
@@ -272,27 +276,61 @@ def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
     return mask
 
 
-def _sign_tensor(n: int, masks: np.ndarray, restrict: bool) -> np.ndarray:
-    """Sign matrices of a batch of enumeration masks, shape (n, n, batch)."""
-    w = np.zeros((n, n, len(masks)), dtype=np.int8)
-    if restrict:
-        w[0, 1:] = 1
-        w[1:, 0] = -1
-    for t, (i, j) in enumerate(_free_pairs(n, restrict)):
-        s = ((masks >> t) & 1) * 2 - 1
-        w[i, j] = s
-        w[j, i] = -s
-    return w
+@lru_cache(maxsize=None)
+def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
+    """Cycl/n for every enumeration mask, by one Walsh-Hadamard transform.
+
+    A tour uses each vertex pair at most once (n >= 3), so the signed sum
+    over the (n-1)! tours anchored at vertex 0 is a multilinear polynomial
+    in the free signs x_e = -(-1)^bit_e:
+
+        Cycl/n = sum over tours T of s_T * prod_{e in S_T} x_e
+               = sum over T of s_T (-1)^|S_T| (-1)^popcount(S_T & mask),
+
+    where S_T is the mask of the free pairs T uses and s_T the product of
+    its fixed first-row entries and of -1 for each free pair walked from
+    the larger vertex to the smaller.  Adding s_T (-1)^|S_T| at S_T gives
+    the coefficient vector, whose unnormalised Walsh-Hadamard transform is
+    the value at every mask.  Every partial sum of the transform is a
+    signed sum of coefficients, bounded by their total |c| <= (n-1)!, so it
+    runs in the ``_dp_dtype(n)`` dtype of the subset DP (int16 at order 8).
+    The result is cached and read-only; orders below 3 and tables above
+    2^21 masks are refused before anything is allocated.
+    """
+    if n < 3:
+        raise ValueError(f"cyclic-index table needs order >= 3, got {n}")
+    free = _free_pairs(n, restrict)
+    if len(free) > 21:
+        raise ValueError(f"cyclic-index table over 2^{len(free)} masks exceeds 2^21")
+    bit = np.zeros((n, n), dtype=np.int64)
+    sign = np.ones((n, n), dtype=np.int64)
+    sign[1:, 0] = -1  # fixed first-row entries A[0, j] = +1, A[j, 0] = -1
+    for t, (i, j) in enumerate(free):
+        bit[i, j] = bit[j, i] = 1 << t
+        sign[i, j], sign[j, i] = -1, 1  # A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit
+    tours = np.pad(_all_perms(n - 1) + 1, ((0, 0), (1, 0)))  # 0 -> p1 -> ... -> p_{n-1}
+    heads = np.roll(tours, -1, axis=1)
+    table = np.zeros(1 << len(free), dtype=_dp_dtype(n))
+    np.add.at(table, bit[tours, heads].sum(axis=1), sign[tours, heads].prod(axis=1))
+    for h in range(len(free)):
+        pairs = table.reshape(-1, 2, 1 << h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    table.flags.writeable = False
+    return table
 
 
 def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.ndarray:
-    """Cyclic indices for a batch of enumeration masks, in slices of bounded DP state."""
-    masks = np.asarray(masks, dtype=np.int64)
-    width = cycle_sum_width(n, SEARCH_DP_BYTES)
-    return np.concatenate([
-        n * cycle_sum(_sign_tensor(n, masks[lo:lo + width], restrict))
-        for lo in range(0, len(masks), width)
-    ])
+    """Cyclic indices for a batch of enumeration masks, as int64.
+
+    Cycl is multilinear in the free signs, so n times one Walsh-Hadamard
+    transform of its (n-1)! tour coefficients (``_cycle_sum_table``) holds
+    the value at every mask; a batch is one gather from that table, built
+    once per (order, restrict) and refused above 2^21 masks.
+    """
+    return n * _cycle_sum_table(n, restrict)[np.asarray(masks, dtype=np.int64)].astype(np.int64)
 
 
 def _slice_orbit_masks(b: SkewSignMatrix) -> np.ndarray:
@@ -350,10 +388,9 @@ class SearchReport:
 
 def _scan_chunk(args) -> tuple[int, int, int, list[int]]:
     n, restrict, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.int64)
-    vals = batch_cyclic_index(n, masks, restrict)
-    best = int(vals.max())
-    return lo, best, int(vals.min()), masks[vals == best].tolist()
+    vals = _cycle_sum_table(n, restrict)[lo:hi]
+    best = vals.max()
+    return lo, n * int(best), n * int(vals.min()), (np.flatnonzero(vals == best) + lo).tolist()
 
 
 def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
@@ -437,9 +474,10 @@ def search_max_cyclic_index(
             payload = dict(params, schema=CHECKPOINT_SCHEMA, chunks=done)
             tmp_path = checkpoint_path + ".tmp"
             with open(tmp_path, "w") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))
             os.replace(tmp_path, checkpoint_path)
 
+    _cycle_sum_table(order, restrict_first_row)  # built once; forked workers inherit it
     for lo, best, worst, ach in pool_map(_scan_chunk, pending, workers):
         record(lo, best, worst, ach)
 

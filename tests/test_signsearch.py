@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tourcycles import signsearch
 from tourcycles.signsearch import (
-    SEARCH_DP_BYTES,
     SkewSignMatrix,
+    _cycle_sum_table,
     batch_cyclic_index,
     canonical_form,
     cyclic_index_def,
@@ -21,7 +23,7 @@ from tourcycles.signsearch import (
     transform_sign_matrix,
 )
 from tourcycles.spectral import trace_power
-from tourcycles.tournaments import cycle_sum_width, exact_cycle_count, four_profile
+from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -29,6 +31,20 @@ RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 def random_sign_matrix(n: int, rng: np.random.Generator) -> SkewSignMatrix:
     bits = int(rng.integers(0, 1 << (n * (n - 1) // 2)))
     return SkewSignMatrix(n, bits)
+
+
+def sign_tensor(n: int, masks: np.ndarray, restrict: bool) -> np.ndarray:
+    """Sign matrices of enumeration masks, shape (n, n, batch); bit t = t-th free pair."""
+    w = np.zeros((n, n, len(masks)), dtype=np.int8)
+    if restrict:
+        w[0, 1:] = 1
+        w[1:, 0] = -1
+    free = [(i, j) for i in range(1 if restrict else 0, n) for j in range(i + 1, n)]
+    for t, (i, j) in enumerate(free):
+        s = ((masks >> t) & 1) * 2 - 1
+        w[i, j] = s
+        w[j, i] = -s
+    return w
 
 
 def random_transform(b: SkewSignMatrix, rng: np.random.Generator) -> SkewSignMatrix:
@@ -118,8 +134,12 @@ class TestCyclicIndex:
         for mask, val in zip(masks, vals):
             assert val == cyclic_index_def(mask_to_matrix(4, int(mask), restrict=False))
 
-    def test_batch_crosses_slice_edge(self):
-        assert cycle_sum_width(8, SEARCH_DP_BYTES) == 8192
+    def test_batch_crosses_slice_edge(self, monkeypatch):
+        # the batch is one gather from the table: no subset-DP call, so no slices
+        def no_dp(w):
+            raise AssertionError("batch_cyclic_index ran the subset DP")
+
+        monkeypatch.setattr(signsearch, "cycle_sum", no_dp)
         rng = np.random.default_rng(10)
         masks = rng.integers(0, 1 << 21, size=8193, dtype=np.int64)
         masks[8192] = matrix_to_mask(fixtures().d8_alt)
@@ -127,6 +147,45 @@ class TestCyclicIndex:
         assert vals[8192] == 2176
         for k in (0, 8191, 8192):
             assert vals[k] == cyclic_index_def(mask_to_matrix(8, int(masks[k])))
+
+    @pytest.mark.parametrize(
+        "n, restrict",
+        [(n, True) for n in range(3, 8)] + [(n, False) for n in range(3, 7)],
+    )
+    def test_table_matches_subset_dp(self, n, restrict):
+        masks = np.arange(len(_cycle_sum_table(n, restrict)), dtype=np.int64)
+        expect = n * cycle_sum(sign_tensor(n, masks, restrict))
+        assert np.array_equal(batch_cyclic_index(n, masks, restrict), expect)
+
+    def test_table_matches_subset_dp_order8_sample(self):
+        fx = fixtures()
+        masks = np.random.default_rng(14).integers(0, 1 << 21, size=4096, dtype=np.int64)
+        masks = np.append(masks, [matrix_to_mask(fx.d8), matrix_to_mask(fx.d8_alt)])
+        w = sign_tensor(8, masks, True)
+        for k in (0, 4095, 4096, 4097):  # the test-built tensor agrees with mask_to_matrix
+            assert np.array_equal(w[:, :, k], mask_to_matrix(8, int(masks[k])).to_array())
+        vals = batch_cyclic_index(8, masks)
+        assert np.array_equal(vals, 8 * cycle_sum(w))
+        assert vals[-2:].tolist() == [2176, 2176]
+
+    @pytest.mark.parametrize("n, restrict", [(9, True), (8, False), (2, True), (2, False)])
+    def test_table_refused_before_allocating(self, n, restrict):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                _cycle_sum_table(n, restrict)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_table_is_read_only(self):
+        table = _cycle_sum_table(4, True)
+        with pytest.raises(ValueError):
+            table[0] = 0
+        vals = batch_cyclic_index(4, np.arange(8))
+        vals[:] = 0  # a batch is a copy, not a view of the table
+        assert batch_cyclic_index(4, np.arange(8)).tolist() == (4 * table).tolist()
 
     def test_trace_bounds_cyclic_index(self):
         d8 = dominant_sign(8)
