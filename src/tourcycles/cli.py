@@ -30,7 +30,7 @@ def _check_args(args):
     """Reject bad common settings before any computation starts.
 
     Paths are checked up front, so a long search cannot fail at write time
-    on a bad output location.
+    on a bad output or checkpoint location.
     """
     workers = getattr(args, "workers", 1)
     if workers < 1:
@@ -42,10 +42,11 @@ def _check_args(args):
         path = getattr(args, attr, None)
         if path and not os.path.exists(path):
             raise ValueError(f"input file not found: {path}")
-    if getattr(args, "output", None):
-        parent = os.path.dirname(os.path.abspath(args.output))
-        if not os.path.isdir(parent):
-            raise ValueError(f"output directory does not exist: {parent}")
+    for attr in ("output", "checkpoint"):
+        path = getattr(args, attr, None)
+        parent = os.path.dirname(os.path.abspath(path)) if path else None
+        if parent and not os.path.isdir(parent):
+            raise ValueError(f"{attr} directory does not exist: {parent}")
 
 
 def _fmt_float(x: float) -> str:

@@ -25,7 +25,9 @@ from .spectral import (
     SkewMatrix,
     circulant_spectrum,
     eigenvalues,
+    format_matrix,
     make_dominant,
+    parse_matrix,
     skew_spectrum,
     trace_power,
 )
@@ -297,24 +299,9 @@ def regular_second_eigenvalue(w: StepTournamenton) -> float:
 
 
 def format_step_tournamenton(w: StepTournamenton) -> str:
-    """Text form: first line k, then k whitespace-separated rows."""
-    lines = [str(w.k)]
-    for row in w.values:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    """Text form of ``spectral.format_matrix``: first line k, then k whitespace-separated rows."""
+    return format_matrix(w)
 
 
 def parse_step_tournamenton(text: str) -> StepTournamenton:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty grid file")
-    try:
-        k = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the resolution, got {lines[0]!r}")
-    if len(lines) != k + 1:
-        raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
-    rows = [[float(x) for x in ln.split()] for ln in lines[1:]]
-    if any(len(r) != k for r in rows):
-        raise ValueError(f"each row must have {k} entries")
-    return StepTournamenton(np.array(rows))
+    return StepTournamenton(parse_matrix(text))

@@ -22,13 +22,17 @@ search's answers independently.
 
 Sign-equivalence means symmetric row/column permutation combined with
 flipping the signs of a set of rows and the same set of columns; the cyclic
-index is invariant under it.
+index is invariant under it.  One int8 stack of a matrix's n! permuted
+copies, each flipped to a +1 first row and packed by one matmul, gives both
+its canonical form and the first-row-+1 members of its class, which
+classify the achievers; ``sign_equivalent`` keeps its own independent scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -210,35 +214,11 @@ def sign_equivalent(b1: SkewSignMatrix, b2: SkewSignMatrix) -> bool:
     return bool(np.any(np.all(c == a2, axis=(1, 2))))
 
 
-def _codes_over_perms(a: np.ndarray, n: int, force_plus: bool) -> np.ndarray:
-    """Packed codes of all permuted copies with the first row forced to one sign.
-
-    With the first row forced to -1 (``force_plus=False``) the minimum code
-    over permutations is the minimum over the whole sign-equivalence orbit,
-    because for a fixed permutation the lexicographically smallest packing
-    necessarily zeroes the leading first-row bits and that choice pins every
-    flip sign (up to the global flip, which acts trivially).
-    """
-    perms = _all_perms(n)
-    stack = _permuted_stack(a.astype(np.int8), perms)
-    s = stack[:, 0, :].copy()
-    if not force_plus:
-        s = -s
-    s[:, 0] = 1
-    c = stack * s[:, None, :] * s[:, :, None]
-    m = n * (n - 1) // 2
-    codes = np.zeros(len(perms), dtype=np.int64)
-    for t, (i, j) in enumerate(_pairs(n)):
-        codes |= (c[:, i, j] > 0).astype(np.int64) << (m - 1 - t)
-    return codes
-
-
 def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
     """Lexicographically smallest packed encoding over the sign-equivalence orbit."""
     if b.n > ORACLE_MAX_ORDER:
         raise ValueError(f"canonicalization limited to order {ORACLE_MAX_ORDER}")
-    codes = _codes_over_perms(b.to_array(), b.n, force_plus=False)
-    return SkewSignMatrix(b.n, int(codes.min()))
+    return SkewSignMatrix(b.n, _orbit(b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +231,62 @@ def _free_pairs(n: int, restrict: bool) -> tuple[tuple[int, int], ...]:
     return _pairs(n)
 
 
-def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
-    """Matrix for an enumeration mask; bit t of ``mask`` is the t-th free pair, 1 = +1."""
-    free = _free_pairs(n, restrict)
+@lru_cache(maxsize=None)
+def _pack_weights(n: int, restrict: bool) -> np.ndarray:
+    """Int32 weights that pack upper-triangle sign patterns by one matmul, shape (m, 2).
+
+    The one statement of the bit layouts.  Row t is pair t of ``_pairs(n)``,
+    the order of ``np.triu_indices``.  Column 0 holds 1 << (m-1-t), its
+    ``SkewSignMatrix`` bit; column 1 holds 1 << r when the pair is the r-th
+    free pair, its enumeration-mask bit.  Orders up to 8 (m <= 28) fit in
+    int32, so packing the 40 320 order-8 copies casts 4.5 MB, not 9 MB.
+    """
     m = n * (n - 1) // 2
-    bits = 0
-    if restrict:
-        for j in range(1, n):  # first row fixed to +1
-            t = _pair_index(n)[(0, j)]
-            bits |= 1 << (m - 1 - t)
-    for t, pair in enumerate(free):
-        if (mask >> t) & 1:
-            bits |= 1 << (m - 1 - _pair_index(n)[pair])
-    return SkewSignMatrix(n, bits)
+    if n > ORACLE_MAX_ORDER:
+        raise ValueError(f"mask and orbit packing limited to order {ORACLE_MAX_ORDER}")
+    w = np.zeros((m, 2), dtype=np.int32)
+    w[:, 0] = 1 << np.arange(m - 1, -1, -1)
+    free = [_pair_index(n)[p] for p in _free_pairs(n, restrict)]
+    w[free, 1] = 1 << np.arange(len(free))
+    w.flags.writeable = False
+    return w
+
+
+def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
+    """Matrix for an enumeration mask; bit t of ``mask`` is the t-th free pair, 1 = +1.
+
+    Pairs outside the free set (the first row, when restricted) are +1.
+    """
+    w = _pack_weights(n, restrict)
+    plus = (w[:, 1] == 0) | ((mask & w[:, 1]) != 0)
+    return SkewSignMatrix(n, int(w[plus, 0].sum()))
 
 
 def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
     if restrict and any(b.entry(0, j) != 1 for j in range(1, b.n)):
         raise ValueError("matrix is outside the first-row +1 slice")
-    mask = 0
-    for t, (i, j) in enumerate(_free_pairs(b.n, restrict)):
-        if b.entry(i, j) > 0:
-            mask |= 1 << t
-    return mask
+    upper = b.to_array()[np.triu_indices(b.n, 1)]
+    return int((upper > 0) @ _pack_weights(b.n, restrict)[:, 1])
+
+
+def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
+    """Canonical bits and sorted slice masks of b's class, from one permuted stack.
+
+    Flipping each of the n! permuted copies to a +1 first row leaves the
+    first-row-+1 orbit members, whose masks are the slice orbit.  For a
+    fixed permutation the smallest packing forces the first row to -1
+    instead, which clears the leading bits and changes no other entry
+    (each is s_i s_j A_ij with the same sign product), so the canonical
+    bits are the minimum code minus the first-row bits.
+    """
+    n = b.n
+    iu, ju = np.triu_indices(n, 1)
+    upper = _permuted_stack(b.to_array().astype(np.int8), _all_perms(n))[:, iu, ju]
+    s = np.ones((len(upper), n), dtype=np.int8)
+    s[:, 1:] = upper[:, : n - 1]  # the flips that make the first row +1
+    w = _pack_weights(n, True)
+    packed = (upper * s[:, iu] * s[:, ju] > 0) @ w
+    return int(packed[:, 0].min() - w[: n - 1, 0].sum()), np.unique(packed[:, 1])
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +307,9 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     the value at every mask.  Every partial sum of the transform is a
     signed sum of coefficients, bounded by their total |c| <= (n-1)!, so it
     runs in the ``_dp_dtype(n)`` dtype of the subset DP (int16 at order 8).
-    The result is cached and read-only; orders below 3 and tables above
-    2^21 masks are refused before anything is allocated.
+    The table's sum and sum of squares are checked before it is cached,
+    read-only; orders below 3 and tables above 2^21 masks are refused
+    before anything is allocated.
     """
     if n < 3:
         raise ValueError(f"cyclic-index table needs order >= 3, got {n}")
@@ -303,23 +317,36 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     if len(free) > 21:
         raise ValueError(f"cyclic-index table over 2^{len(free)} masks exceeds 2^21")
     bit = np.zeros((n, n), dtype=np.int64)
+    bit[np.triu_indices(n, 1)] = _pack_weights(n, restrict)[:, 1]
+    bit += bit.T
     sign = np.ones((n, n), dtype=np.int64)
     sign[1:, 0] = -1  # fixed first-row entries A[0, j] = +1, A[j, 0] = -1
-    for t, (i, j) in enumerate(free):
-        bit[i, j] = bit[j, i] = 1 << t
+    for i, j in free:
         sign[i, j], sign[j, i] = -1, 1  # A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit
     tours = np.pad(_all_perms(n - 1) + 1, ((0, 0), (1, 0)))  # 0 -> p1 -> ... -> p_{n-1}
     heads = np.roll(tours, -1, axis=1)
     table = np.zeros(1 << len(free), dtype=_dp_dtype(n))
     np.add.at(table, bit[tours, heads].sum(axis=1), sign[tours, heads].prod(axis=1))
     for h in range(len(free)):
-        pairs = table.reshape(-1, 2, 1 << h)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
+        _butterfly(table, h)
+    # Parseval: no tour has an empty free mask, and a tour and its reverse
+    # share a mask and, at even n, a sign, so each undirected Hamiltonian
+    # cycle puts +/-2 at its own mask (at odd n the pair cancels).
+    squares = (1 << len(free)) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
+    sumsq = np.einsum("i,i->", table, table, dtype=np.int64)  # int64 accumulator, no copy
+    if table.sum(dtype=np.int64) != 0 or sumsq != squares:
+        raise AssertionError(f"order-{n} cyclic-index table fails its Parseval check")
     table.flags.writeable = False
     return table
+
+
+def _butterfly(table: np.ndarray, h: int) -> None:
+    """One in-place Walsh-Hadamard stage: (lo, hi) -> (lo + hi, lo - hi) across bit h."""
+    pairs = table.reshape(-1, 2, 1 << h)
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    diff = lo - hi
+    lo += hi
+    hi[...] = diff
 
 
 def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.ndarray:
@@ -331,19 +358,6 @@ def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.n
     once per (order, restrict) and refused above 2^21 masks.
     """
     return n * _cycle_sum_table(n, restrict)[np.asarray(masks, dtype=np.int64)].astype(np.int64)
-
-
-def _slice_orbit_masks(b: SkewSignMatrix) -> np.ndarray:
-    """Enumeration masks of every first-row-+1 representative of b's class."""
-    n = b.n
-    codes = _codes_over_perms(b.to_array(), n, force_plus=True)
-    m = n * (n - 1) // 2
-    free = _free_pairs(n, restrict=True)
-    masks = np.zeros(len(codes), dtype=np.int64)
-    for t, pair in enumerate(free):
-        bitpos = m - 1 - _pair_index(n)[pair]
-        masks |= ((codes >> bitpos) & 1) << t
-    return np.unique(masks)
 
 
 @dataclass(frozen=True)
@@ -508,26 +522,23 @@ def _classify_achievers(
 ) -> list[SkewSignMatrix]:
     """Bucket achiever masks by canonical form.
 
-    In the restricted slice each bucket is materialized at once by expanding
-    the whole orbit of one member, which keeps the cost independent of the
-    bucket size; the cyclic index is class-invariant, so every slice member
-    of an achieving orbit must itself be an achiever (asserted).
+    In the restricted slice each bucket is materialized at once: one
+    permuted stack of one member (``_orbit``) yields both the canonical
+    form and the masks of every slice member of the class, so a class costs
+    one stack whatever its size.  The cyclic index is class-invariant, so
+    every slice member of an achieving orbit must itself be an achiever
+    (asserted).  The full enumeration (order 4) canonicalizes each achiever.
     """
-    classes: list[SkewSignMatrix] = []
     if not restrict:
-        seen: dict[int, SkewSignMatrix] = {}
-        for mask in achievers:
-            rep = canonical_form(mask_to_matrix(order, mask, restrict=False))
-            seen.setdefault(rep.bits, rep)
-        return sorted(seen.values(), key=lambda r: r.bits)
+        reps = {canonical_form(mask_to_matrix(order, x, restrict=False)) for x in achievers}
+        return sorted(reps, key=lambda r: r.bits)
 
+    classes: list[SkewSignMatrix] = []
     remaining = set(achievers)
     achiever_set = set(achievers)
     while remaining:
-        mask = min(remaining)
-        member = mask_to_matrix(order, mask, restrict=True)
-        classes.append(canonical_form(member))
-        orbit = _slice_orbit_masks(member)
+        bits, orbit = _orbit(mask_to_matrix(order, min(remaining), restrict=True))
+        classes.append(SkewSignMatrix(order, bits))
         stray = [x for x in orbit.tolist() if x not in achiever_set]
         if stray:
             raise AssertionError(

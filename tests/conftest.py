@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's algorithms: cycles and
 weighted cycle sums are found by enumerating cyclic arrangements, 4-vertex
-types are matched by explicit isomorphism search, and the conjectured
+types are matched by explicit isomorphism search, canonical forms are the
+minimum over every relabelling and flip vector, and the conjectured
 constants are summed from their defining series, so they can vouch for
 the faster paths.
 """
@@ -78,6 +79,24 @@ def random_skew_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     a = np.triu(a, 1)
     return a - a.T
+
+
+def brute_canonical_bits(a: np.ndarray) -> int:
+    """Smallest packed code of a skew sign matrix over all n! * 2^n transformations.
+
+    Every relabelling c[i, j] = a[p(i), p(j)] is combined with every flip
+    vector s in {+1, -1}^n, c[i, j] *= s_i s_j, with no flip forced; the
+    upper triangle is read row-major, first pair most significant, and a
+    bit is 1 for +1 (the ``SkewSignMatrix`` packing).
+    """
+    n = len(a)
+    perms = np.array(list(permutations(range(n))))
+    flips = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    iu, ju = np.triu_indices(n, 1)
+    entries = np.asarray(a)[perms[:, iu], perms[:, ju]]  # (n!, m)
+    signs = flips[:, iu] * flips[:, ju]  # (2^n, m)
+    plus = entries[:, None, :] * signs[None, :, :] > 0
+    return int((plus @ (1 << np.arange(len(iu) - 1, -1, -1))).min())
 
 
 # pi to 50 places, rounded up, so it lies above pi and (2/pi)^l keeps full

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,18 @@ class TestVerifyLemma:
         code, out, err = run_cli("verify-lemma", "--order", "4", "--checkpoint", str(path))
         assert code == EXIT_USAGE and out == "" and err.startswith("error:")
 
+    def test_checkpoint_in_missing_directory_rejected_before_scan(self, tmp_path, monkeypatch):
+        import tourcycles.cli as climod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search started before the checkpoint path was checked")
+
+        monkeypatch.setattr(climod.signsearch, "search_max_cyclic_index", no_search)
+        path = tmp_path / "missing" / "dir" / "ck.json"
+        code, out, err = run_cli("verify-lemma", "--order", "8", "--checkpoint", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: checkpoint directory does not exist")
+
     @pytest.mark.parametrize("text", ["", '{"schema": "cyclic-index-search/v1", "chu', "[]"])
     def test_unreadable_checkpoint_is_usage_error(self, tmp_path, text):
         path = tmp_path / "ck.json"
@@ -298,3 +312,34 @@ class TestUsage:
 
         args = build_parser().parse_args(["verify-lemma", "--order", "4"])
         assert args.workers == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+ELAPSED = re.compile(r'"elapsed_seconds": [0-9.e-]+')
+
+
+class TestGoldenReports:
+    """Reports are byte-identical to the committed ones; only a timing may differ."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("verify-lemma-order8.json", ["verify-lemma", "--order", "8", "--strip-elapsed"]),
+            (
+                "verify-lemma-order8.json",
+                ["verify-lemma", "--order", "8", "--strip-elapsed", "--workers", "2"],
+            ),
+            ("verify-lemma-order4.json", ["verify-lemma", "--order", "4"]),
+            (
+                "verify-lemma-order4-full.json",
+                ["verify-lemma", "--order", "4", "--full", "--strip-elapsed"],
+            ),
+            ("carousel-grid8.txt", ["carousel", "--grid", "8"]),
+        ],
+    )
+    def test_stdout_matches_golden(self, name, argv):
+        code, out, _ = run_cli(*argv)
+        want = (GOLDEN / name).read_bytes().decode()
+        assert code == EXIT_OK
+        # the unstripped report keeps its elapsed_seconds line; only the number is free
+        assert ELAPSED.sub('"elapsed_seconds": T', out) == ELAPSED.sub('"elapsed_seconds": T', want)

@@ -366,3 +366,12 @@ class TestGridText:
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
             parse_step_tournamenton("3\n0.5 0.5 0.5\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "two\n0.5\n", "2\n0.5 1.0\n0.0\n", "2\n0.5 x\n0.5 0.5\n", "2\n0.5 0.9\n0.9 0.5\n"],
+        ids=["empty", "bad-header", "short-row", "not-a-number", "not-complementary"],
+    )
+    def test_rejects_malformed_text(self, text):
+        with pytest.raises(ValueError):
+            parse_step_tournamenton(text)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from tourcycles import signsearch
 from tourcycles.signsearch import (
     SkewSignMatrix,
+    _classify_achievers,
     _cycle_sum_table,
+    _orbit,
     batch_cyclic_index,
     canonical_form,
     cyclic_index_def,
@@ -24,6 +26,8 @@ from tourcycles.signsearch import (
 )
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
+
+from conftest import brute_canonical_bits
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -179,6 +183,18 @@ class TestCyclicIndex:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n, restrict", [(6, True), (8, True), (4, False)])
+    def test_skipped_transform_stage_fails_parseval_check(self, monkeypatch, n, restrict):
+        real = signsearch._butterfly
+
+        def skip_stage_2(table, h):
+            if h != 2:
+                real(table, h)
+
+        monkeypatch.setattr(signsearch, "_butterfly", skip_stage_2)
+        with pytest.raises(AssertionError, match="Parseval"):
+            _cycle_sum_table.__wrapped__(n, restrict)
+
     def test_table_is_read_only(self):
         table = _cycle_sum_table(4, True)
         with pytest.raises(ValueError):
@@ -240,6 +256,42 @@ class TestCanonicalForm:
         b = random_sign_matrix(5, np.random.default_rng(11))
         assert sign_equivalent(canonical_form(b), b)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_brute_oracle(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(12):
+            b = random_sign_matrix(n, rng)
+            assert canonical_form(b).bits == brute_canonical_bits(b.to_array())
+
+    def test_fixture_bits(self):
+        fx = fixtures()
+        got = [canonical_form(b).bits for b in (fx.d4, fx.d8, fx.d8_alt, fx.d8_alt_blocks)]
+        assert got == [0, 0, 1152, 1152]
+
+    def test_order8_slice_orbits(self):
+        fx = fixtures()
+        _, dom = _orbit(fx.d8)
+        _, alt = _orbit(fx.d8_alt)
+        assert (len(dom), len(alt)) == (5040, 20160)
+        assert matrix_to_mask(fx.d8) in dom and matrix_to_mask(fx.d8_alt) in alt
+        assert np.intersect1d(dom, alt).size == 0
+        assert np.all(batch_cyclic_index(8, np.concatenate([dom, alt])) == 2176)
+
+    def test_order8_classification_builds_one_stack_per_class(self, monkeypatch):
+        calls = []
+        real = signsearch._permuted_stack
+
+        def counted(a, perms):
+            calls.append(len(perms))
+            return real(a, perms)
+
+        monkeypatch.setattr(signsearch, "_permuted_stack", counted)
+        table = _cycle_sum_table(8, True)
+        achievers = np.flatnonzero(table == table.max()).tolist()
+        classes = _classify_achievers(8, achievers, True, 2176)
+        assert [c.bits for c in classes] == [0, 1152]
+        assert calls == [40320, 40320]
+
     def test_separates_iff_inequivalent(self):
         rng = np.random.default_rng(12)
         for _ in range(15):
@@ -271,6 +323,10 @@ class TestSearch:
         for mask in rng.integers(0, 1 << 21, size=10):
             b = mask_to_matrix(8, int(mask))
             assert matrix_to_mask(b) == int(mask)
+
+    def test_mask_packing_refuses_order_above_8(self):
+        with pytest.raises(ValueError):
+            mask_to_matrix(9, 0)
 
     def test_mask_rejects_matrix_outside_slice(self):
         # flipping row 1 puts -1 into the first row
