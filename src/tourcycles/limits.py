@@ -23,6 +23,8 @@ import numpy as np
 from .spectral import (
     ComplementaryMatrix,
     SkewMatrix,
+    _max_pair_error,
+    _require_square,
     circulant_spectrum,
     eigenvalues,
     format_matrix,
@@ -57,7 +59,11 @@ GRID_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StepTournamenton:
-    """k x k grid of values in [0,1] with W_ij + W_ji = 1 and diagonal 1/2."""
+    """k x k grid of values in [0,1] with W_ij + W_ji = 1 and diagonal 1/2.
+
+    ``values`` is a read-only float64 copy of the grid it is given, and that
+    copy is the only k x k array the checks allocate; NaN fails every one.
+    """
 
     values: np.ndarray
 
@@ -65,11 +71,10 @@ class StepTournamenton:
         v = np.array(self.values, dtype=float)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("step tournamenton must be a square grid")
-        if np.any(v < -GRID_TOL) or np.any(v > 1 + GRID_TOL):
+        _require_square(v, "step tournamenton grid")
+        if not (v.min() >= -GRID_TOL and v.max() <= 1 + GRID_TOL):
             raise ValueError("grid values must lie in [0, 1]")
-        if np.max(np.abs(v + v.T - 1.0)) > GRID_TOL:
+        if not (_max_pair_error(v, 1.0) <= GRID_TOL):
             raise ValueError("W_ij + W_ji must equal 1")
 
     @property
@@ -85,14 +90,19 @@ def carousel_tournamenton(k: int) -> StepTournamenton:
     d > k/2, and to 1/2 on the diagonal and on the antipodal boundary
     d = k/2.  Odd k would leave cells straddling the boundary, hence the
     parity requirement.
+
+    Only the first row is built.  Row i is that row shifted i places right,
+    which is window k - i of the doubled row, so the grid is handed to
+    StepTournamenton as a strided view of those windows and its one copy
+    there is the grid's only k x k allocation.
     """
     if k < 2 or k % 2:
         raise ValueError(f"carousel grid needs even k >= 2, got {k}")
-    i = np.arange(k)
-    d = (i[None, :] - i[:, None]) % k
-    w = np.where((d > 0) & (d < k // 2), 1.0, 0.0)
-    w[(d == 0) | (d == k // 2)] = 0.5
-    return StepTournamenton(w)
+    first = np.zeros(k)
+    first[1 : k // 2] = 1.0
+    first[0] = first[k // 2] = 0.5
+    doubled = np.concatenate((first, first))
+    return StepTournamenton(np.lib.stride_tricks.sliding_window_view(doubled, k)[k:0:-1])
 
 
 def random_step_tournamenton(k: int, seed: int) -> StepTournamenton:
@@ -275,7 +285,7 @@ def antisym_dominance(a) -> DominanceReport:
     if np.any(np.abs(arr) > 1 + GRID_TOL):
         raise ValueError("entries must lie in [-1, 1]")
     n = arr.shape[0]
-    rho_a = float(np.max(np.abs(skew_spectrum(arr)))) if n else 0.0
+    rho_a = float(np.max(np.abs(skew_spectrum(arr))))
     rho_d = float(np.max(np.abs(skew_spectrum(make_dominant(n)))))
     return DominanceReport(rho_a=rho_a, rho_d=rho_d, ok=rho_a <= rho_d + 1e-9)
 

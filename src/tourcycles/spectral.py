@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 PAIR_TOL = 1e-12
+# side of the square tiles the pair check reads; its one temporary is a tile
+_PAIR_TILE = 128
 
 
 class EigensolverError(RuntimeError):
@@ -55,21 +57,51 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_square(a: np.ndarray, what: str) -> None:
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"{what} must be square and non-empty, got shape {a.shape}")
+
+
+def _max_pair_error(a: np.ndarray, total: float) -> float:
+    """max |A_ij + A_ji - total| over all pairs, or NaN if any pair has a NaN.
+
+    Reads the tiles on and above the diagonal block row by block row, adding
+    each to the transpose of its mirror tile in one reused tile-sized buffer,
+    so no n x n temporary is built.
+    """
+    n = a.shape[0]
+    side = min(n, _PAIR_TILE)
+    buf = np.empty((side, side))
+    worst = np.float64(0.0)
+    for i0 in range(0, n, _PAIR_TILE):
+        i1 = min(i0 + _PAIR_TILE, n)
+        for j0 in range(i0, n, _PAIR_TILE):
+            j1 = min(j0 + _PAIR_TILE, n)
+            t = buf[: i1 - i0, : j1 - j0]
+            np.add(a[i0:i1, j0:j1], a[j0:j1, i0:i1].T, out=t)
+            t -= total
+            np.abs(t, out=t)
+            worst = np.maximum(worst, t.max())  # np.maximum keeps a NaN
+    return float(worst)
+
+
 @dataclass(frozen=True)
 class ComplementaryMatrix:
-    """Non-negative square matrix with A_ij + A_ji = 1/n (hence diagonal 1/(2n))."""
+    """Non-negative square matrix with A_ij + A_ji = 1/n (hence diagonal 1/(2n)).
+
+    Every check is written so that NaN fails it.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         a = self.values
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("complementary matrix must be square")
+        _require_square(a, "complementary matrix")
         n = a.shape[0]
-        if np.any(a < -PAIR_TOL):
+        if not (a.min() >= -PAIR_TOL):
             raise ValueError("complementary matrix must be non-negative")
-        if np.max(np.abs(a + a.T - 1.0 / n)) > PAIR_TOL:
+        if not (_max_pair_error(a, 1.0 / n) <= PAIR_TOL):
             raise ValueError("A_ij + A_ji must equal 1/n")
 
     @property
@@ -79,18 +111,17 @@ class ComplementaryMatrix:
 
 @dataclass(frozen=True)
 class SkewMatrix:
-    """Real matrix with A = -A^T and zero diagonal."""
+    """Real matrix with A = -A^T and zero diagonal; every check fails on NaN."""
 
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         a = self.values
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("skew matrix must be square")
-        if np.max(np.abs(a + a.T)) > PAIR_TOL:
+        _require_square(a, "skew matrix")
+        if not (_max_pair_error(a, 0.0) <= PAIR_TOL):
             raise ValueError("matrix is not skew-symmetric")
-        if np.max(np.abs(np.diag(a))) > 0:
+        if not (np.abs(np.diagonal(a)).max() <= 0):
             raise ValueError("skew matrix must have an exactly zero diagonal")
 
     @property

@@ -283,6 +283,13 @@ class TestGenerators:
         code, out, _ = run_cli("sample", "6", "--seed", "1", "--w-grid", str(path))
         assert code == EXIT_OK and parse_tournament(out).n == 6
 
+    def test_sample_rejects_nan_grid_file(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("2\n0.5 nan\nnan 0.5\n")
+        code, out, err = run_cli("sample", "5", "--seed", "1", "--w-grid", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:")
+
     def test_output_file(self, tmp_path):
         path = tmp_path / "out.txt"
         code, out, _ = run_cli("carousel", "5", "-o", str(path))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,32 @@ class TestCarouselGrid:
             StepTournamenton(np.array([[0.5, 0.3], [0.3, 0.5]]))
         with pytest.raises(ValueError):
             StepTournamenton(np.full((3, 3), 1.5))
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 130, 258, 1024])
+    def test_matches_offset_oracle_bit_for_bit(self, k):
+        i = np.arange(k)
+        d = (i[None, :] - i[:, None]) % k
+        want = np.where((d > 0) & (d < k // 2), 1.0, 0.0)
+        want[(d == 0) | (d == k // 2)] = 0.5
+        assert carousel_tournamenton(k).values.tobytes() == want.tobytes()
+
+    def test_grid_is_readonly_and_contiguous(self):
+        v = carousel_tournamenton(130).values
+        assert v.dtype == np.float64 and v.flags.c_contiguous and v.flags.owndata
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+
+    def test_one_grid_sized_allocation(self):
+        k = 2048
+        tracemalloc.start()
+        try:
+            w = carousel_tournamenton(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.k == k
+        assert peak < 1.1 * k * k * 8
 
 
 class TestStepApproximation:

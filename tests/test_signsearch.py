@@ -354,11 +354,13 @@ class TestSearch:
         rep1 = search_max_cyclic_index(4, restrict_first_row=False, chunk_size=16,
                                        checkpoint_path=path)
         # drop two chunks and resume
-        data = json.loads(open(path).read())
+        with open(path) as fh:
+            data = json.load(fh)
         assert len(data["chunks"]) == 4
         for key in list(data["chunks"])[:2]:
             del data["chunks"][key]
-        json.dump(data, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(data, fh)
         rep2 = search_max_cyclic_index(4, restrict_first_row=False, chunk_size=16,
                                        checkpoint_path=path)
         assert rep1.to_json_dict(include_elapsed=False) == rep2.to_json_dict(
@@ -367,7 +369,8 @@ class TestSearch:
 
     def test_checkpoint_schema_mismatch(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        json.dump({"schema": "something-else", "chunks": {}}, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump({"schema": "something-else", "chunks": {}}, fh)
         with pytest.raises(ValueError, match="schema"):
             search_max_cyclic_index(4, checkpoint_path=path)
 

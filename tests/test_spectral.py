@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tourcycles.limits import StepTournamenton, random_step_tournamenton
 from tourcycles.spectral import (
     ComplementaryMatrix,
     EigensolverError,
     SkewMatrix,
+    _max_pair_error,
     circulant_spectrum,
     eigenvalues,
     format_matrix,
@@ -60,6 +62,61 @@ class TestMatrixTypes:
     def test_skew_rejects_nonskew(self):
         with pytest.raises(ValueError):
             SkewMatrix(np.ones((3, 3)))
+
+
+def valid_matrix(cls, n: int) -> np.ndarray:
+    """A matrix of order n that ``cls`` accepts, with no off-diagonal entry at a bound."""
+    w = random_step_tournamenton(n, seed=n).values
+    if cls is ComplementaryMatrix:
+        return w / n
+    if cls is SkewMatrix:
+        return 2.0 * w - 1.0
+    return w.copy()
+
+
+VALIDATORS = [StepTournamenton, ComplementaryMatrix, SkewMatrix]
+
+
+class TestPairCheck:
+    """The tiled pair check against the dense formula, and what it must reject."""
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 130, 257, 300])
+    @pytest.mark.parametrize("total", [0.0, 1.0])
+    def test_matches_dense_formula(self, n, total):
+        a = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, n))
+        assert _max_pair_error(a, total) == np.max(np.abs(a + a.T - total))
+
+    @pytest.mark.parametrize("cls", VALIDATORS)
+    @pytest.mark.parametrize(
+        "i, j",
+        [(5, 129), (128, 129), (129, 129), (3, 7), (0, 0), (129, 5), (129, 128), (7, 3)],
+        ids=["partial-tile", "partial-diagonal-tile", "last-diagonal-cell", "diagonal-tile",
+             "first-diagonal-cell", "transposed-partial", "transposed-partial-diagonal",
+             "transposed-diagonal-tile"],
+    )
+    def test_one_bad_cell_rejected(self, cls, i, j):
+        a = valid_matrix(cls, 130)
+        cls(a)
+        a[i, j] += 1e-9
+        with pytest.raises(ValueError, match="_ij|skew-symmetric"):
+            cls(a)
+
+    @pytest.mark.parametrize("cls", VALIDATORS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [[(1, 2)], [(1, 2), (2, 1)], [(3, 3)]],
+                             ids=["one", "pair", "diagonal"])
+    def test_rejects_nan_and_inf(self, cls, bad, cells):
+        a = valid_matrix(cls, 6)
+        for i, j in cells:
+            a[i, j] = bad
+        with pytest.raises(ValueError):
+            cls(a)
+
+    @pytest.mark.parametrize("cls", VALIDATORS)
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3), (2, 2, 2)])
+    def test_rejects_empty_and_non_square(self, cls, shape):
+        with pytest.raises(ValueError, match=r"square and non-empty, got shape"):
+            cls(np.zeros(shape))
 
 
 class TestTracePower:
