@@ -40,12 +40,12 @@ def order4_section() -> dict:
 
 def order8_section(workers: int) -> dict:
     report = signsearch.search_max_cyclic_index(8, workers=workers)
-    fx = signsearch.fixtures()
+    _, (dominant, second) = signsearch.CERTIFIED[8]
     reps = {c.bits for c in report.achiever_classes}
     return {
         "report": report.to_json_dict(),
-        "contains_dominant": signsearch.canonical_form(fx.d8).bits in reps,
-        "contains_second_class": signsearch.canonical_form(fx.d8_alt).bits in reps,
+        "contains_dominant": dominant in reps,
+        "contains_second_class": second in reps,
     }
 
 
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out} ({report['elapsed_seconds']:.1f}s)")
 
     ok = (
-        report["order4"]["restricted"]["max_cyclic_index"] == 8
+        report["order4"]["restricted"]["max_cyclic_index"] == signsearch.CERTIFIED[4][0]
         and report["order4"]["agree"]
         and report["constants"]["c4_error"] <= 1e-12
         and report["constants"]["c8_error"] <= 1e-12
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
     )
     if not args.skip_order8:
         ok = ok and (
-            report["order8"]["report"]["max_cyclic_index"] == 2176
+            report["order8"]["report"]["max_cyclic_index"] == signsearch.CERTIFIED[8][0]
             and report["order8"]["contains_dominant"]
             and report["order8"]["contains_second_class"]
         )

@@ -160,30 +160,20 @@ def cmd_profile4(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
-    expectations = {
-        4: {"max": 8, "classes": 1},
-        8: {"max": 2176, "classes": 2},
-    }
     report = signsearch.search_max_cyclic_index(
         args.order,
         workers=args.workers,
         restrict_first_row=not args.full,
         checkpoint_path=args.checkpoint,
     )
-    want = expectations[args.order]
-    fx = signsearch.fixtures()
-    expected_reps = {signsearch.canonical_form(fx.d4).bits}
-    if args.order == 8:
-        expected_reps = {
-            signsearch.canonical_form(fx.d8).bits,
-            signsearch.canonical_form(fx.d8_alt).bits,
-        }
+    want_max, want_bits = signsearch.CERTIFIED[args.order]
+    expected_reps = set(want_bits)
     got_reps = {c.bits for c in report.achiever_classes}
     mismatches = []
-    if report.max_cyclic_index != want["max"]:
-        mismatches.append(f"max {report.max_cyclic_index} != {want['max']}")
-    if len(report.achiever_classes) != want["classes"]:
-        mismatches.append(f"{len(report.achiever_classes)} classes != {want['classes']}")
+    if report.max_cyclic_index != want_max:
+        mismatches.append(f"max {report.max_cyclic_index} != {want_max}")
+    if len(report.achiever_classes) != len(want_bits):
+        mismatches.append(f"{len(report.achiever_classes)} classes != {len(want_bits)}")
     if got_reps != expected_reps:
         mismatches.append(f"class representatives {sorted(got_reps)} != {sorted(expected_reps)}")
     payload = report.to_json_dict(include_elapsed=not args.strip_elapsed)

@@ -54,11 +54,15 @@ __all__ = [
     "search_max_cyclic_index",
     "dominant_sign",
     "fixtures",
+    "CERTIFIED",
 ]
 
 MAX_ORDER = 12
 ORACLE_MAX_ORDER = 8
 CHECKPOINT_SCHEMA = "cyclic-index-search/v1"
+# The certified maxima: order -> (max cyclic index, canonical bits of the
+# achiever classes, the dominant class D_n first).
+CERTIFIED = {4: (8, (0,)), 8: (2176, (0, 1152))}
 
 
 @lru_cache(maxsize=None)

@@ -124,8 +124,10 @@ class DegreeSequence:
 class FourProfile:
     """Counts of induced 4-vertex subtournaments by isomorphism type.
 
-    t4: transitive, c4: strongly connected (the unique hamiltonian type),
-    l4: 3-cycle plus a sink, w4: 3-cycle plus a source.
+    t4: transitive (one source, one sink), c4: strongly connected (the
+    unique type holding a directed 4-cycle), l4: 3-cycle plus a sink,
+    w4: 3-cycle plus a source.  ``four_profile`` gets c4 from tr(A^4) / 4
+    and the other three from the source and sink counts.
     """
 
     t4: int
@@ -185,9 +187,9 @@ def sample_w_random(w, n: int, seed: int) -> Tournament:
     if n < 1:
         raise ValueError(f"w-random tournament needs n >= 1, got {n}")
     grid = np.asarray(getattr(w, "values", w), dtype=float)
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ValueError("step kernel must be a square grid")
-    if np.any(grid < 0) or np.any(grid > 1):
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.size == 0:
+        raise ValueError("step kernel must be a non-empty square grid")
+    if not (grid.min() >= 0 and grid.max() <= 1):  # a NaN fails both
         raise ValueError("step kernel values must lie in [0, 1]")
     k = grid.shape[0]
     rng = np.random.default_rng(seed)
@@ -347,33 +349,30 @@ def normalized_density(t: Tournament, length: int) -> float:
 
 
 def four_profile(t: Tournament) -> FourProfile:
-    """Classify every induced 4-vertex subtournament.
+    """Count the induced 4-vertex subtournaments of each type, in closed form.
 
-    The key is the number of cyclic triangles on the 4 vertices (0, 1 or 2);
-    the single-triangle types are split by whether the off-triangle vertex is
-    a source (beats the other three) or a sink.
+    A tournament has no loops and no 2-cycles, so a closed 4-walk
+    v0 -> v1 -> v2 -> v3 -> v0 cannot repeat a vertex: v0 = v2 or v1 = v3
+    would need a 2-cycle, and two consecutive equal vertices a loop.  So
+    every closed 4-walk is a directed 4-cycle, walked once from each of its
+    4 vertices; only type c4 holds a 4-cycle, and exactly one, so
+    c4 = tr(A^4) / 4.  A source (a vertex beating the other three) exists in
+    t4 and w4 only, and is unique, so t4 + w4 = S = sum_v binom(d_v, 3) over
+    the out-degrees d_v; likewise sinks give t4 + l4 = R =
+    sum_v binom(n-1-d_v, 3).  The four types add up to binom(n, 4), so
+    t4 = S + R + c4 - binom(n, 4), w4 = S - t4 and l4 = R - t4.
     """
-    if t.n < 4:
+    n = t.n
+    if n < 4:
         raise ValueError("four_profile needs at least 4 vertices")
-    t4 = c4 = l4 = w4 = 0
-    for quad in combinations(range(t.n), 4):
-        triangles = 0
-        for a, b, c in combinations(quad, 3):
-            # cyclic iff the three orientations along a->b->c->a all agree
-            ab, bc, ca = t.beats(a, b), t.beats(b, c), t.beats(c, a)
-            if ab == bc == ca:
-                triangles += 1
-        if triangles == 0:
-            t4 += 1
-        elif triangles == 2:
-            c4 += 1
-        else:
-            degs = [sum(1 for v in quad if u != v and t.beats(u, v)) for u in quad]
-            if 3 in degs:
-                w4 += 1
-            else:
-                l4 += 1
-    return FourProfile(t4, c4, l4, w4)
+    a = t.adjacency()
+    a2 = a @ a
+    c4 = int(np.einsum("ij,ji->", a2, a2)) // 4
+    degrees = a.sum(axis=1).tolist()
+    sources = sum(math.comb(d, 3) for d in degrees)
+    sinks = sum(math.comb(n - 1 - d, 3) for d in degrees)
+    t4 = sources + sinks + c4 - math.comb(n, 4)
+    return FourProfile(t4, c4, l4=sinks - t4, w4=sources - t4)
 
 
 def format_tournament(t: Tournament) -> str:

@@ -148,6 +148,15 @@ def _iso_class(t: Tournament) -> str:
     raise AssertionError("unclassifiable 4-vertex tournament")
 
 
+def brute_four_profile(t: Tournament) -> dict[str, int]:
+    """Type counts of the induced 4-vertex subtournaments, each matched by ``_iso_class``."""
+    counts = dict.fromkeys(_REFS_4, 0)
+    for quad in combinations(range(t.n), 4):
+        out = [sum(1 << b for b, w in enumerate(quad) if t.beats(v, w)) for v in quad]
+        counts[_iso_class(Tournament(4, tuple(out)))] += 1
+    return counts
+
+
 @pytest.fixture(scope="session")
 def iso_class_of():
     return _iso_class

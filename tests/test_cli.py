@@ -342,6 +342,8 @@ class TestGoldenReports:
                 ["verify-lemma", "--order", "4", "--full", "--strip-elapsed"],
             ),
             ("carousel-grid8.txt", ["carousel", "--grid", "8"]),
+            ("profile4-random40-seed1.json", ["profile4", "--random", "40", "--seed", "1"]),
+            ("profile4-carousel9.json", ["profile4", "--carousel", "9"]),
         ],
     )
     def test_stdout_matches_golden(self, name, argv):

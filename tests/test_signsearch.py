@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tourcycles import signsearch
 from tourcycles.signsearch import (
+    CERTIFIED,
     SkewSignMatrix,
     _classify_achievers,
     _cycle_sum_table,
@@ -264,9 +265,12 @@ class TestCanonicalForm:
             assert canonical_form(b).bits == brute_canonical_bits(b.to_array())
 
     def test_fixture_bits(self):
+        # the fixtures are the certified classes: verify-lemma compares against CERTIFIED
         fx = fixtures()
+        (max4, (d4,)), (max8, (dom, alt)) = CERTIFIED[4], CERTIFIED[8]
         got = [canonical_form(b).bits for b in (fx.d4, fx.d8, fx.d8_alt, fx.d8_alt_blocks)]
-        assert got == [0, 0, 1152, 1152]
+        assert got == [d4, dom, alt, alt]
+        assert [cyclic_index_def(b) for b in (fx.d4, fx.d8, fx.d8_alt)] == [max4, max8, max8]
 
     def test_order8_slice_orbits(self):
         fx = fixtures()

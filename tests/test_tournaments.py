@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from conftest import (
     all_tournaments,
     brute_cycle_count,
     brute_cycle_sum,
+    brute_four_profile,
     random_tournament,
     tournament_from_bits,
 )
@@ -89,6 +91,21 @@ class TestGenerators:
     def test_sample_w_random_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             sample_w_random(np.full((3, 3), 2.0), 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[0.5, np.nan], [np.nan, 0.5]],
+            [[np.nan]],
+            np.zeros((0, 0)),
+            np.full((2, 3), 0.5),
+            [0.5, 0.5],
+        ],
+        ids=["nan-offdiag", "nan-1x1", "empty", "non-square", "one-dim"],
+    )
+    def test_sample_w_random_rejects_nan_and_bad_shapes(self, grid):
+        with pytest.raises(ValueError):
+            sample_w_random(grid, 6, seed=0)
 
     def test_sample_w_random_accepts_step_tournamenton(self):
         from tourcycles.limits import carousel_tournamenton
@@ -268,6 +285,25 @@ class TestFourProfile:
         for t in all_tournaments(4):
             cycles = exact_cycle_count(t, 4)
             assert cycles == (1 if iso_class_of(t) == "c4" else 0)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_matches_isomorphism_oracle(self, n):
+        # every count, not only c4, against classifying each quad separately
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            t = random_tournament(n, rng)
+            assert dataclasses.asdict(four_profile(t)) == brute_four_profile(t)
+
+    def test_transitive60(self):
+        p = four_profile(make_transitive(60))
+        assert (p.t4, p.c4, p.l4, p.w4) == (math.comb(60, 4), 0, 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reverse_swaps_sink_and_source_types(self, seed):
+        t = sample_random(12, seed)
+        p, r = four_profile(t), four_profile(t.reverse())
+        assert p.l4 != p.w4  # so the swap is visible
+        assert (r.t4, r.c4, r.l4, r.w4) == (p.t4, p.c4, p.w4, p.l4)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
