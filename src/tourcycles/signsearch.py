@@ -22,10 +22,12 @@ search's answers independently.
 
 Sign-equivalence means symmetric row/column permutation combined with
 flipping the signs of a set of rows and the same set of columns; the cyclic
-index is invariant under it.  One int8 stack of a matrix's n! permuted
-copies, each flipped to a +1 first row and packed by one matmul, gives both
-its canonical form and the first-row-+1 members of its class, which
-classify the achievers; ``sign_equivalent`` keeps its own independent scan.
+index is invariant under it.  Flipping a root p's row to +1 leaves the
+switch M_p[u, v] = A[p,u] A[p,v] A[u,v] on the other vertices, and the n!
+relabellings of the n switches, one int8 gather of upper triangles, are the
+first-row-+1 members of the class: packed by one matmul they give its
+canonical form and classify the achievers; ``sign_equivalent`` scans them
+for an exact match instead.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {p: t for t, p in enumerate(_pairs(n))}
-
-
 @dataclass(frozen=True)
 class SkewSignMatrix:
     """Skew matrix with +/-1 off-diagonal entries, upper triangle packed as bits.
@@ -99,21 +96,13 @@ class SkewSignMatrix:
         return self.n * (self.n - 1) // 2
 
     def entry(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        if i > j:
-            return -self.entry(j, i)
-        t = _pair_index(self.n)[(i, j)]
-        return 1 if (self.bits >> (self.num_pairs - 1 - t)) & 1 else -1
+        return int(self.to_array()[i, j])
 
     def to_array(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
         m = self.num_pairs
-        for t, (i, j) in enumerate(_pairs(self.n)):
-            s = 1 if (self.bits >> (m - 1 - t)) & 1 else -1
-            a[i, j] = s
-            a[j, i] = -s
-        return a
+        a = np.zeros((self.n, self.n), dtype=np.int64)
+        a[np.triu_indices(self.n, 1)] = [(self.bits >> (m - 1 - t) & 1) * 2 - 1 for t in range(m)]
+        return a - a.T
 
     @classmethod
     def from_array(cls, a) -> "SkewSignMatrix":
@@ -126,12 +115,8 @@ class SkewSignMatrix:
         off = a[~np.eye(n, dtype=bool)]
         if np.any(np.abs(off) != 1):
             raise ValueError("off-diagonal entries must be +1 or -1")
-        m = n * (n - 1) // 2
-        bits = 0
-        for t, (i, j) in enumerate(_pairs(n)):
-            if a[i, j] > 0:
-                bits |= 1 << (m - 1 - t)
-        return cls(n, bits)
+        plus = a[np.triu_indices(n, 1)][::-1] > 0
+        return cls(n, sum(1 << t for t in np.flatnonzero(plus).tolist()))
 
     @classmethod
     def from_rows(cls, rows: list[str]) -> "SkewSignMatrix":
@@ -179,9 +164,27 @@ def _all_perms(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
-def _permuted_stack(a: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Stack of symmetrically permuted copies, shape (P, n, n)."""
-    return a[perms[:, :, None], perms[:, None, :]]
+@lru_cache(maxsize=None)
+def _relabel_index(n: int) -> np.ndarray:
+    """Flat (q(i), q(j)), i < j, in an (n-1)-square matrix for each permutation q; read-only."""
+    iu, ju = np.triu_indices(n - 1, 1)
+    idx = _all_perms(n - 1)[:, iu] * (n - 1) + _all_perms(n - 1)[:, ju]
+    idx.flags.writeable = False
+    return idx
+
+
+def _root_switched(b: SkewSignMatrix) -> np.ndarray:
+    """M_p[u, v] = A[p, u] A[p, v] A[u, v] over the n - 1 vertices u, v != p, int8."""
+    a = b.to_array().astype(np.int8)
+    k = np.arange(b.n - 1)
+    rest = k + (k >= np.arange(b.n)[:, None])  # rest[p]: the vertices other than p
+    row = np.take_along_axis(a, rest, axis=1)
+    return row[:, :, None] * row[:, None, :] * a[rest[:, :, None], rest[:, None, :]]
+
+
+def _relabelled_triangles(b: SkewSignMatrix) -> np.ndarray:
+    """Every M_p relabelled, shape (n, (n-1)!, binom(n-1, 2)), by one gather."""
+    return _root_switched(b).reshape(b.n, -1)[:, _relabel_index(b.n)]
 
 
 def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
@@ -190,32 +193,24 @@ def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
     ``perm`` relabels vertices (entry (i, j) is taken from (perm[i], perm[j]))
     and ``flips`` is the set of positions whose row and column change sign.
     """
-    a = b.to_array()
     perm = list(perm)
     s = np.ones(b.n, dtype=np.int64)
-    for i in flips:
-        s[i] = -1
-    c = a[np.ix_(perm, perm)] * s[None, :] * s[:, None]
-    return SkewSignMatrix.from_array(c)
+    s[list(flips)] = -1
+    return SkewSignMatrix.from_array(b.to_array()[np.ix_(perm, perm)] * s[None, :] * s[:, None])
 
 
 def sign_equivalent(b1: SkewSignMatrix, b2: SkewSignMatrix) -> bool:
     """Whether some symmetric permutation plus sign flips maps b1 to b2.
 
-    For each permutation the flip pattern is forced by matching the first
-    row, so the scan is over n! candidates rather than n! * 2^n.
+    b2 switched at root 0 must be one of b1's n! root-switched relabellings
+    (see ``_orbit``), a scan of n! candidates rather than n! * 2^n.
     """
     if b1.n != b2.n:
         raise ValueError(f"order mismatch: {b1.n} vs {b2.n}")
     if b1.n > ORACLE_MAX_ORDER:
         raise ValueError(f"sign-equivalence scan limited to order {ORACLE_MAX_ORDER}")
-    a1 = b1.to_array().astype(np.int8)
-    a2 = b2.to_array().astype(np.int8)
-    stack = _permuted_stack(a1, _all_perms(b1.n))
-    s = a2[0] * stack[:, 0, :]
-    s[:, 0] = 1
-    c = stack * s[:, None, :] * s[:, :, None]
-    return bool(np.any(np.all(c == a2, axis=(1, 2))))
+    target = _root_switched(b2)[0][np.triu_indices(b2.n - 1, 1)]
+    return bool(np.any(np.all(_relabelled_triangles(b1) == target, axis=-1)))
 
 
 def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
@@ -243,14 +238,14 @@ def _pack_weights(n: int, restrict: bool) -> np.ndarray:
     the order of ``np.triu_indices``.  Column 0 holds 1 << (m-1-t), its
     ``SkewSignMatrix`` bit; column 1 holds 1 << r when the pair is the r-th
     free pair, its enumeration-mask bit.  Orders up to 8 (m <= 28) fit in
-    int32, so packing the 40 320 order-8 copies casts 4.5 MB, not 9 MB.
+    int32, which halves the cast of the 40 320 packed order-8 triangles.
     """
     m = n * (n - 1) // 2
     if n > ORACLE_MAX_ORDER:
         raise ValueError(f"mask and orbit packing limited to order {ORACLE_MAX_ORDER}")
     w = np.zeros((m, 2), dtype=np.int32)
     w[:, 0] = 1 << np.arange(m - 1, -1, -1)
-    free = [_pair_index(n)[p] for p in _free_pairs(n, restrict)]
+    free = [_pairs(n).index(p) for p in _free_pairs(n, restrict)]
     w[free, 1] = 1 << np.arange(len(free))
     w.flags.writeable = False
     return w
@@ -259,9 +254,12 @@ def _pack_weights(n: int, restrict: bool) -> np.ndarray:
 def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
     """Matrix for an enumeration mask; bit t of ``mask`` is the t-th free pair, 1 = +1.
 
-    Pairs outside the free set (the first row, when restricted) are +1.
+    Pairs outside the free set (the first row, when restricted) are +1; a
+    mask outside [0, 2^k) raises ValueError.
     """
     w = _pack_weights(n, restrict)
+    if not 0 <= mask < 1 << len(_free_pairs(n, restrict)):
+        raise ValueError(f"mask {mask} is outside the order-{n} enumeration")
     plus = (w[:, 1] == 0) | ((mask & w[:, 1]) != 0)
     return SkewSignMatrix(n, int(w[plus, 0].sum()))
 
@@ -274,23 +272,19 @@ def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
 
 
 def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
-    """Canonical bits and sorted slice masks of b's class, from one permuted stack.
+    """Canonical bits and sorted slice masks of b's class, from one relabelling gather.
 
-    Flipping each of the n! permuted copies to a +1 first row leaves the
-    first-row-+1 orbit members, whose masks are the slice orbit.  For a
-    fixed permutation the smallest packing forces the first row to -1
-    instead, which clears the leading bits and changes no other entry
-    (each is s_i s_j A_ij with the same sign product), so the canonical
-    bits are the minimum code minus the first-row bits.
+    A class member with a +1 first row maps some root p to vertex 0, which
+    forces its flips up to a global sign, so its free pairs are M_p
+    (``_root_switched``) relabelled: packing the n! relabellings gives the
+    slice masks.  The smallest packing of a relabelling forces the first
+    row to -1 instead, which changes no free pair (each is s_i s_j A_ij with
+    the same sign product), so the canonical bits are the minimum free code.
     """
     n = b.n
-    iu, ju = np.triu_indices(n, 1)
-    upper = _permuted_stack(b.to_array().astype(np.int8), _all_perms(n))[:, iu, ju]
-    s = np.ones((len(upper), n), dtype=np.int8)
-    s[:, 1:] = upper[:, : n - 1]  # the flips that make the first row +1
-    w = _pack_weights(n, True)
-    packed = (upper * s[:, iu] * s[:, ju] > 0) @ w
-    return int(packed[:, 0].min() - w[: n - 1, 0].sum()), np.unique(packed[:, 1])
+    packed = (_relabelled_triangles(b) > 0) @ _pack_weights(n, True)[n - 1 :]
+    masks = np.sort(packed[..., 1], axis=None)
+    return int(packed[..., 0].min()), masks[np.r_[True, masks[1:] != masks[:-1]]]
 
 
 @lru_cache(maxsize=None)
@@ -359,9 +353,14 @@ def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.n
     Cycl is multilinear in the free signs, so n times one Walsh-Hadamard
     transform of its (n-1)! tour coefficients (``_cycle_sum_table``) holds
     the value at every mask; a batch is one gather from that table, built
-    once per (order, restrict) and refused above 2^21 masks.
+    once per (order, restrict) and refused above 2^21 masks.  A mask outside
+    [0, 2^k) raises ValueError.
     """
-    return n * _cycle_sum_table(n, restrict)[np.asarray(masks, dtype=np.int64)].astype(np.int64)
+    table = _cycle_sum_table(n, restrict)
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.size and not 0 <= masks.min() <= masks.max() < len(table):
+        raise ValueError(f"masks must lie in [0, {len(table)})")
+    return n * table[masks].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -524,31 +523,32 @@ def search_max_cyclic_index(
 def _classify_achievers(
     order: int, achievers: list[int], restrict: bool, gmax: int
 ) -> list[SkewSignMatrix]:
-    """Bucket achiever masks by canonical form.
+    """Bucket the sorted achiever masks by canonical form.
 
-    In the restricted slice each bucket is materialized at once: one
-    permuted stack of one member (``_orbit``) yields both the canonical
-    form and the masks of every slice member of the class, so a class costs
-    one stack whatever its size.  The cyclic index is class-invariant, so
-    every slice member of an achieving orbit must itself be an achiever
-    (asserted).  The full enumeration (order 4) canonicalizes each achiever.
+    In the restricted slice one relabelling gather of one member (``_orbit``)
+    yields both the canonical form and the masks of every slice member of
+    the class, so a class costs one gather whatever its size.  The cyclic
+    index is class-invariant, so every slice member of an achieving orbit
+    must itself be an achiever (asserted by one sorted search).  The full
+    enumeration (order 4) canonicalizes each achiever.
     """
     if not restrict:
         reps = {canonical_form(mask_to_matrix(order, x, restrict=False)) for x in achievers}
         return sorted(reps, key=lambda r: r.bits)
 
     classes: list[SkewSignMatrix] = []
-    remaining = set(achievers)
-    achiever_set = set(achievers)
-    while remaining:
-        bits, orbit = _orbit(mask_to_matrix(order, min(remaining), restrict=True))
+    ach = np.asarray(achievers, dtype=np.int64)
+    covered = np.zeros(len(ach), dtype=bool)
+    while not covered.all():
+        bits, orbit = _orbit(mask_to_matrix(order, int(ach[np.argmin(covered)]), restrict=True))
         classes.append(SkewSignMatrix(order, bits))
-        stray = [x for x in orbit.tolist() if x not in achiever_set]
-        if stray:
+        pos = np.minimum(np.searchsorted(ach, orbit), len(ach) - 1)
+        stray = orbit[ach[pos] != orbit]
+        if stray.size:
             raise AssertionError(
                 f"orbit member {stray[0]} of an achiever misses the maximum {gmax}"
             )
-        remaining.difference_update(orbit.tolist())
+        covered[pos] = True
     return sorted(classes, key=lambda r: r.bits)
 
 
@@ -600,10 +600,7 @@ def fixtures() -> Fixtures:
             "----+--0",
         ]
     )
-    arr = d8_alt_blocks.to_array()
-    out = []
-    for i in range(8):
-        out.append(sum(1 << j for j in range(8) if arr[i, j] > 0))
+    out = ((d8_alt_blocks.to_array() > 0) @ (1 << np.arange(8))).tolist()
     return Fixtures(
         d4=dominant_sign(4),
         d8=dominant_sign(8),

@@ -2,10 +2,10 @@
 
 The oracles here deliberately avoid the library's algorithms: cycles and
 weighted cycle sums are found by enumerating cyclic arrangements, 4-vertex
-types are matched by explicit isomorphism search, canonical forms are the
-minimum over every relabelling and flip vector, and the conjectured
-constants are summed from their defining series, so they can vouch for
-the faster paths.
+types are matched by explicit isomorphism search, canonical forms and
+slice orbits are read off every relabelling and flip vector, and the
+conjectured constants are summed from their defining series, so they can
+vouch for the faster paths.
 """
 
 from __future__ import annotations
@@ -97,6 +97,25 @@ def brute_canonical_bits(a: np.ndarray) -> int:
     signs = flips[:, iu] * flips[:, ju]  # (2^n, m)
     plus = entries[:, None, :] * signs[None, :, :] > 0
     return int((plus @ (1 << np.arange(len(iu) - 1, -1, -1))).min())
+
+
+def brute_slice_masks(a: np.ndarray) -> list[int]:
+    """Sorted enumeration masks of the first-row-+1 members of a's class.
+
+    Every one of the n! * 2^n relabellings and flip vectors is applied (as
+    in ``brute_canonical_bits``); the copies whose first row is all +1 are
+    kept, and each is packed with bit t for the t-th pair (i, j), 1 <= i < j,
+    in row-major order, set for +1.
+    """
+    n = len(a)
+    perms = np.array(list(permutations(range(n))))
+    flips = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    iu, ju = np.triu_indices(n, 1)
+    entries = np.asarray(a)[perms[:, iu], perms[:, ju]]  # (n!, m)
+    copies = (entries[:, None, :] * (flips[:, iu] * flips[:, ju])[None, :, :]).reshape(-1, len(iu))
+    first = iu == 0
+    kept = copies[np.all(copies[:, first] > 0, axis=1)][:, ~first]
+    return sorted({sum(1 << t for t, x in enumerate(row) if x > 0) for row in kept})
 
 
 # pi to 50 places, rounded up, so it lies above pi and (2/pi)^l keeps full

@@ -28,7 +28,7 @@ from tourcycles.signsearch import (
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
-from conftest import brute_canonical_bits
+from conftest import brute_canonical_bits, brute_slice_masks
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -236,6 +236,19 @@ class TestSignEquivalence:
     def test_distinct_values_never_equivalent(self):
         assert not sign_equivalent(dominant_sign(4), RIGHT_MATRIX_4)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_brute_oracle(self, n):
+        rng = np.random.default_rng(30 + n)
+        m = n * (n - 1) // 2
+        for _ in range(8):
+            b1 = random_sign_matrix(n, rng)
+            b2 = random_transform(b1, rng)
+            near = SkewSignMatrix(n, b2.bits ^ (1 << int(rng.integers(m))))
+            canon = brute_canonical_bits(b1.to_array())
+            for other in (random_sign_matrix(n, rng), b2, near):
+                same = brute_canonical_bits(other.to_array()) == canon
+                assert sign_equivalent(b1, other) == sign_equivalent(other, b1) == same
+
 
 class TestCanonicalForm:
     def test_idempotent(self):
@@ -283,18 +296,55 @@ class TestCanonicalForm:
 
     def test_order8_classification_builds_one_stack_per_class(self, monkeypatch):
         calls = []
-        real = signsearch._permuted_stack
+        real = signsearch._relabelled_triangles
 
-        def counted(a, perms):
-            calls.append(len(perms))
-            return real(a, perms)
+        def counted(b):
+            out = real(b)
+            calls.append(out.shape[0] * out.shape[1])
+            return out
 
-        monkeypatch.setattr(signsearch, "_permuted_stack", counted)
+        monkeypatch.setattr(signsearch, "_relabelled_triangles", counted)
         table = _cycle_sum_table(8, True)
         achievers = np.flatnonzero(table == table.max()).tolist()
         classes = _classify_achievers(8, achievers, True, 2176)
         assert [c.bits for c in classes] == [0, 1152]
         assert calls == [40320, 40320]
+
+    @pytest.mark.parametrize("drop", [0, 12345, -1])
+    def test_classification_refuses_missing_orbit_member(self, drop):
+        table = _cycle_sum_table(8, True)
+        achievers = np.flatnonzero(table == table.max()).tolist()
+        missing = achievers.pop(drop)
+        with pytest.raises(AssertionError, match=f"orbit member {missing} of an achiever"):
+            _classify_achievers(8, achievers, True, 2176)
+
+    def test_order8_orbit_memory(self):
+        fx = fixtures()
+        _orbit(fx.d8)  # builds the cached relabelling index
+        tracemalloc.start()
+        try:
+            _orbit(fx.d8_alt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_small_matrix_matches_brute_oracles(self, n):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            b = SkewSignMatrix(n, bits)
+            canon, masks = _orbit(b)
+            assert masks.tolist() == brute_slice_masks(b.to_array())
+            assert canon == canonical_form(b).bits == brute_canonical_bits(b.to_array())
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_matrices_match_brute_oracles(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            b = random_sign_matrix(n, rng)
+            canon, masks = _orbit(b)
+            assert masks.tolist() == brute_slice_masks(b.to_array())
+            assert canon == brute_canonical_bits(b.to_array())
 
     def test_separates_iff_inequivalent(self):
         rng = np.random.default_rng(12)
@@ -331,6 +381,20 @@ class TestSearch:
     def test_mask_packing_refuses_order_above_8(self):
         with pytest.raises(ValueError):
             mask_to_matrix(9, 0)
+
+    @pytest.mark.parametrize("n,mask,restrict", [
+        (8, 1 << 21, True), (8, -1, True), (4, 8, True), (4, 64, False), (4, -1, False),
+    ])
+    def test_mask_outside_range_refused(self, n, mask, restrict):
+        with pytest.raises(ValueError):
+            mask_to_matrix(n, mask, restrict)
+
+    @pytest.mark.parametrize("masks,restrict", [
+        ([-1], True), ([8], True), ([0, 7, 8], True), ([64], False), ([3, -2], False),
+    ])
+    def test_batch_mask_outside_range_refused(self, masks, restrict):
+        with pytest.raises(ValueError):
+            batch_cyclic_index(4, np.array(masks), restrict)
 
     def test_mask_rejects_matrix_outside_slice(self):
         # flipping row 1 puts -1 into the first row
