@@ -414,8 +414,8 @@ def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
     """Finished chunks recorded in a checkpoint, after checking every field the merge reads.
 
     Keys must be the aligned chunk starts str(lo), 0 <= lo < total, and each
-    record needs int ``max`` and ``min`` and a list of int ``achievers``
-    inside its chunk; anything else raises ValueError.
+    record needs int ``max`` and ``min`` and a strictly increasing list of
+    int ``achievers`` inside its chunk; anything else raises ValueError.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -440,8 +440,11 @@ def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
             and type(rec.get("min")) is int
             and isinstance(rec.get("achievers"), list)
             and all(type(a) is int and lo <= a < hi for a in rec["achievers"])
+            and all(a < b for a, b in itertools.pairwise(rec["achievers"]))
         ):
-            raise ValueError(f"checkpoint chunk {key} needs int max, min and in-chunk achievers")
+            raise ValueError(
+                f"checkpoint chunk {key} needs int max, min and increasing in-chunk achievers"
+            )
     return chunks
 
 
@@ -500,12 +503,11 @@ def search_max_cyclic_index(
 
     gmax = max(c["max"] for c in done.values())
     gmin = min(c["min"] for c in done.values())
-    achievers = sorted(
-        mask
-        for c in done.values()
-        if c["max"] == gmax
-        for mask in c["achievers"]
-    )
+    # chunks are ascending disjoint ranges with strictly increasing lists,
+    # so concatenating them in start order gives the sorted achievers
+    achievers = list(itertools.chain.from_iterable(
+        done[str(lo)]["achievers"] for lo in starts if done[str(lo)]["max"] == gmax
+    ))
 
     classes = _classify_achievers(order, achievers, restrict_first_row, gmax)
     return SearchReport(

@@ -3,21 +3,25 @@
 A tournament on n vertices is an orientation of the complete graph K_n.
 Adjacency is stored as one out-neighbour bitset per vertex.
 
-Exact counting streams the l-subsets of the vertices through one batched
-subset DP, ``cycle_sum``, which counts the directed Hamiltonian cycles of
-each induced subtournament over (visited-subset, last-vertex) states
-anchored at the subset's least vertex: O(binom(n,l) * 2^l * l^2) overall.
-The DP is in pull form: each state is computed once from the states of
-its subset minus its last vertex.  The same kernel computes the cyclic
-index of sign matrices (signsearch).  Its integer dtype is the narrowest
-of int16, int32 and int64 that a proven bound allows, so it is exact for
-every cycle length l <= 21 and refuses longer ones.
+A tournament has no loops and no 2-cycles, so no closed walk of length
+l <= 5 repeats a vertex: cycles of length 3, 4 and 5 are tr(A^l) / l,
+computed with int64 matrix powers.  Longer cycles stream the l-subsets of
+the vertices through one batched subset DP, ``cycle_sum``, which counts the
+directed Hamiltonian cycles of each induced subtournament over
+(visited-subset, last-vertex) states anchored at the subset's least vertex:
+O(binom(n,l) * 2^l * l^2) overall.  The DP runs one popcount layer at a
+time, pushing all subsets of size k to size k+1 with about 2m numpy calls,
+and holds only two layers.  The same kernel computes the cyclic index of
+sign matrices (signsearch).  Its integer dtype is the narrowest of int16,
+int32 and int64 that a proven bound allows, so it is exact for every cycle
+length l <= 21 and refuses longer ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from multiprocessing import get_context
 from typing import Iterable
@@ -219,9 +223,41 @@ def _dp_dtype(m: int):
 
 
 def cycle_sum_width(m: int, budget: int) -> int:
-    """Most order-m matrices whose cycle_sum DP state fits in ``budget`` bytes (at least 1)."""
-    per_matrix = (1 << (m - 1)) * m * np.dtype(_dp_dtype(m)).itemsize
-    return max(1, budget // per_matrix)
+    """Most order-m matrices whose cycle_sum working set fits in ``budget`` bytes (at least 1).
+
+    A step from subset size k to k+1 holds the layer of size k, its ``prod``
+    and ``tmp`` buffers of the same shape, and the layer of size k+1: each
+    row is m-1 entries per matrix.
+    """
+    p = m - 1
+    rows = max((3 * math.comb(p, k) + math.comb(p, k + 1) for k in range(1, p)), default=p)
+    return max(1, budget // (rows * p * np.dtype(_dp_dtype(m)).itemsize))
+
+
+@lru_cache(maxsize=None)
+def _layer_steps(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Scatter indices of the popcount-layer DP over subsets of p vertices.
+
+    Layer k lists the k-subsets as ascending bitmasks.  Step k (k = 1 .. p-1)
+    is a pair of int32 arrays over the pairs (subset r of layer k, vertex v
+    not in r): the flat index r * p + v into the step's ``prod`` and the
+    flat index r' * p + v into layer k+1, where r' = r with v added.
+    """
+    masks = np.arange(1 << p, dtype=np.int32)
+    sizes = sum(masks >> b & 1 for b in range(p))
+    layers = [np.flatnonzero(sizes == k).astype(np.int32) for k in range(p + 1)]
+    rank = np.empty_like(masks)  # position of each mask within its layer
+    for layer in layers:
+        rank[layer] = np.arange(len(layer), dtype=np.int32)
+    bit = (1 << np.arange(p)).astype(np.int32)
+    steps = []
+    for layer in layers[1:p]:
+        src, v = np.nonzero(layer[:, None] & bit == 0)
+        dst = rank[layer[src] | bit[v]]
+        steps.append(((src * p + v).astype(np.int32), dst * p + v.astype(np.int32)))
+    for arr in chain.from_iterable(steps):
+        arr.flags.writeable = False  # shared by every caller
+    return tuple(steps)
 
 
 def cycle_sum(w: np.ndarray) -> np.ndarray:
@@ -230,42 +266,44 @@ def cycle_sum(w: np.ndarray) -> np.ndarray:
     ``w`` has shape (m, m, batch): a batch of m x m weight matrices with
     entries in {-1, 0, 1}, batch on the last axis.  Each directed cycle
     0 -> v1 -> ... -> v_{m-1} -> 0 contributes the product of its m weights;
-    the result is int64[batch].  Bellman / Held-Karp subset DP in pull
-    form: dp[r, v] sums the paths from 0 that visit exactly the vertex set r
-    (bit v-1 for vertex v) and end at v, dp[{v}, v] = w[0, v] and
+    the result is int64[batch].  Bellman / Held-Karp subset DP, one popcount
+    layer at a time: dp[r, v] sums the paths from 0 that visit exactly the
+    vertex set r of {1, ..., m-1} and end at v (zero for v not in r), with
+    dp[{v}, v] = w[0, v].  A step from the k-subsets to the (k+1)-subsets
+    computes, for all of layer k at once,
 
-        dp[r, v] = sum over u in r without v of dp[r without v, u] * w[u, v],
+        prod[r, v] = sum over u of dp[r, u] * w[u, v]
 
-    so each state is written once, from a multiply and in-place adds whose
-    operands stay in cache.  The DP runs in the dtype of ``_dp_dtype``; the
-    final sum over v is int64.  For a 0/1 tournament adjacency this counts
-    its directed Hamiltonian cycles, each once since the anchor fixes the
-    rotation; for a skew sign matrix it is the cyclic index divided by m.
+    with one multiply and one in-place add per u, and then scatters the
+    entries with v not in r to dp[r + {v}, v] through ``_layer_steps``.
+    Only two layers are held, so a batch needs O(m * binom(m-1, (m-1)/2))
+    entries per matrix, and a batch costs about m^2 numpy calls.  The DP
+    runs in the dtype of ``_dp_dtype``; the final sum over v is int64.  For
+    a 0/1 tournament adjacency this counts its directed Hamiltonian cycles,
+    each once since the anchor fixes the rotation; for a skew sign matrix
+    it is the cyclic index divided by m.
     """
     m = w.shape[0]
     dtype = _dp_dtype(m)
     w = np.ascontiguousarray(w, dtype=dtype)
-    batch = w.shape[2]
-    full = (1 << (m - 1)) - 1
-    dp = np.empty((full + 1, m, batch), dtype=dtype)
-    for v in range(1, m):
-        dp[1 << (v - 1), v] = w[0, v]
-    tmp = np.empty(batch, dtype=dtype)
-    for r in range(1, full + 1):  # r without v < r: predecessors come first
-        visited = [v for v in range(1, m) if r >> (v - 1) & 1]
-        if len(visited) < 2:
-            continue
-        for v in visited:
-            dst, src, col = dp[r, v], dp[r & ~(1 << (v - 1))], w[:, v]
-            first, *rest = [u for u in visited if u != v]
-            np.multiply(src[first], col[first], out=dst)
-            for u in rest:
-                np.multiply(src[u], col[u], out=tmp)
-                dst += tmp
-    total = np.zeros(batch, dtype=np.int64)
-    for v in range(1, m):
-        total += dp[full, v] * w[v, 0].astype(np.int64)
-    return total
+    batch, p = w.shape[2], m - 1
+    if p == 0:
+        return np.zeros(batch, dtype=np.int64)
+    inner = w[1:, 1:]
+    dp = np.zeros((p, p, batch), dtype=dtype)
+    dp[np.arange(p), np.arange(p)] = w[0, 1:]
+    for k, (src, dst) in enumerate(_layer_steps(p), start=1):
+        prod = np.empty_like(dp)
+        tmp = np.empty_like(dp)
+        np.multiply(dp[:, 0, None], inner[0], out=prod)
+        for u in range(1, p):
+            np.multiply(dp[:, u, None], inner[u], out=tmp)
+            prod += tmp
+        moved = tmp.reshape(-1, batch)[: len(src)]  # tmp is free: gather into it
+        np.take(prod.reshape(-1, batch), src, axis=0, out=moved, mode="clip")
+        dp = np.zeros((math.comb(p, k + 1), p, batch), dtype=dtype)
+        dp.reshape(-1, batch)[dst] = moved
+    return (dp[0].astype(np.int64) * w[1:, 0]).sum(axis=0)
 
 
 def _count_range(job: tuple[np.ndarray, int, int, int]) -> int:
@@ -297,8 +335,33 @@ def pool_map(fn, jobs: list, workers: int):
         yield from pool.imap(fn, jobs)
 
 
+def _trace_cycle_count(t: Tournament, length: int) -> int:
+    """Cycles of length 3, 4 or 5 as tr(A^l) / l, in int64 matrix powers.
+
+    A closed l-walk that repeats a vertex splits at the repeat into two
+    shorter closed walks; for l <= 5 one of them has length 1 or 2, a loop
+    or a 2-cycle, which a tournament does not have.  So every closed walk
+    of length l <= 5 is a directed l-cycle, counted once from each of its l
+    vertices.  tr(A^l) counts at most n^l walks, so orders with
+    n^l >= 2^63 are refused before the adjacency matrix is built.
+    """
+    if t.n**length >= 1 << 63:
+        raise ValueError(
+            f"tr(A^{length}) can overflow int64 at n={t.n}: needs n^{length} < 2^63"
+        )
+    a = t.adjacency()
+    a2 = a @ a
+    rest = a if length == 3 else a2 if length == 4 else a2 @ a
+    return int(np.einsum("ij,ji->", a2, rest)) // length
+
+
 def exact_cycle_count(t: Tournament, length: int) -> int:
-    """Exact number of directed cycles of the given length in ``t``."""
+    """Exact number of directed cycles of the given length in ``t``.
+
+    Lengths 3, 4 and 5 are tr(A^l) / l (``_trace_cycle_count``): no closed
+    walk that short can repeat a vertex in a tournament.  Longer cycles go
+    through the subset DP of ``cycle_sum``.
+    """
     return pooled_cycle_count(t, length, 1)
 
 
@@ -306,12 +369,17 @@ def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
     """``exact_cycle_count`` with the l-subsets split into ``workers`` contiguous ranges.
 
     Each range is counted by one worker of ``pool_map``; the integer sum
-    does not depend on the split.
+    does not depend on the split.  Lengths up to 5 take the closed form and
+    need neither subsets nor workers.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if length > t.n:
         return 0
+    if length <= 5:
+        return _trace_cycle_count(t, length)
     adj = t.adjacency().astype(np.int8)  # keeps the subset gathers small
     total = math.comb(t.n, length)
     jobs = [
@@ -351,24 +419,19 @@ def normalized_density(t: Tournament, length: int) -> float:
 def four_profile(t: Tournament) -> FourProfile:
     """Count the induced 4-vertex subtournaments of each type, in closed form.
 
-    A tournament has no loops and no 2-cycles, so a closed 4-walk
-    v0 -> v1 -> v2 -> v3 -> v0 cannot repeat a vertex: v0 = v2 or v1 = v3
-    would need a 2-cycle, and two consecutive equal vertices a loop.  So
-    every closed 4-walk is a directed 4-cycle, walked once from each of its
-    4 vertices; only type c4 holds a 4-cycle, and exactly one, so
-    c4 = tr(A^4) / 4.  A source (a vertex beating the other three) exists in
-    t4 and w4 only, and is unique, so t4 + w4 = S = sum_v binom(d_v, 3) over
-    the out-degrees d_v; likewise sinks give t4 + l4 = R =
+    Every closed 4-walk of a tournament is a directed 4-cycle (see
+    ``_trace_cycle_count``), and only type c4 holds a 4-cycle, exactly one,
+    so c4 = tr(A^4) / 4.  A source (a vertex beating the other three) exists
+    in t4 and w4 only, and is unique, so t4 + w4 = S = sum_v binom(d_v, 3)
+    over the out-degrees d_v; likewise sinks give t4 + l4 = R =
     sum_v binom(n-1-d_v, 3).  The four types add up to binom(n, 4), so
     t4 = S + R + c4 - binom(n, 4), w4 = S - t4 and l4 = R - t4.
     """
     n = t.n
     if n < 4:
         raise ValueError("four_profile needs at least 4 vertices")
-    a = t.adjacency()
-    a2 = a @ a
-    c4 = int(np.einsum("ij,ji->", a2, a2)) // 4
-    degrees = a.sum(axis=1).tolist()
+    c4 = _trace_cycle_count(t, 4)
+    degrees = [t.out_degree(v) for v in range(n)]
     sources = sum(math.comb(d, 3) for d in degrees)
     sinks = sum(math.comb(n - 1 - d, 3) for d in degrees)
     t4 = sources + sinks + c4 - math.comb(n, 4)

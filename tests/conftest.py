@@ -5,7 +5,9 @@ weighted cycle sums are found by enumerating cyclic arrangements, 4-vertex
 types are matched by explicit isomorphism search, canonical forms and
 slice orbits are read off every relabelling and flip vector, and the
 conjectured constants are summed from their defining series, so they can
-vouch for the faster paths.
+vouch for the faster paths.  ``dp_cycle_count`` is the one helper that runs
+a library algorithm: it keeps the subset DP under test at the cycle lengths
+that ``exact_cycle_count`` answers in closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from tourcycles.tournaments import Tournament
+from tourcycles.tournaments import Tournament, cycle_sum
 
 
 def brute_cycle_count(t: Tournament, length: int) -> int:
@@ -47,6 +49,12 @@ def brute_cycle_sum(w: np.ndarray) -> int:
                 break
         total += prod
     return total
+
+
+def dp_cycle_count(t: Tournament, length: int) -> int:
+    """Cycles of the given length by ``cycle_sum`` on every l-subset, in one batch."""
+    subsets = np.array(list(combinations(range(t.n), length))).T
+    return int(cycle_sum(t.adjacency()[subsets[:, None, :], subsets[None, :, :]]).sum())
 
 
 def tournament_from_bits(n: int, bits: int) -> Tournament:

@@ -41,7 +41,7 @@ from tourcycles.tournaments import (
     make_carousel,
 )
 
-from conftest import all_tournaments, random_skew_matrix, random_tournament
+from conftest import all_tournaments, dp_cycle_count, random_skew_matrix, random_tournament
 
 
 def report(num: int, ok: bool, detail: str):
@@ -281,20 +281,22 @@ def test_criterion_11_oracle_equivalence():
         if cyclic_index_fast(b) != cyclic_index_def(b):
             ok = False
             break
+    # 3-cycles by the trace form (exact_cycle_count) and by the subset DP
+    # (cycle_sum on every 3-subset) against the degree-sequence formula
     for n in (3, 4, 5):
         for t in all_tournaments(n):
-            if exact_cycle_count(t, 3) != goodman_count3(t):
+            if not exact_cycle_count(t, 3) == dp_cycle_count(t, 3) == goodman_count3(t):
                 ok = False
                 break
     for _ in range(500):
         n = int(rng.integers(6, 10))
         t = random_tournament(n, rng)
-        if exact_cycle_count(t, 3) != goodman_count3(t):
+        if not exact_cycle_count(t, 3) == dp_cycle_count(t, 3) == goodman_count3(t):
             ok = False
             break
     report(
         11,
         ok,
         "cyclic-index DP == permutation sum (8 canonical + 200 random); "
-        "subset DP == degree-sequence formula (exhaustive n<=5 + 500 random)",
+        "trace form == subset DP == degree-sequence formula (exhaustive n<=5 + 500 random)",
     )

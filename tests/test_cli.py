@@ -38,14 +38,15 @@ class TestCount:
         assert first == second and first[0] == EXIT_OK
 
     def test_workers_do_not_change_result(self):
-        base = run_cli("count", "--carousel", "9", "--length", "4")
-        multi = run_cli("count", "--carousel", "9", "--length", "4", "--workers", "3")
-        assert json.loads(base[1])["count"] == json.loads(multi[1])["count"]
+        # length 6: lengths up to 5 take the trace form and split no subsets
+        base = run_cli("count", "--carousel", "9", "--length", "6")
+        multi = run_cli("count", "--carousel", "9", "--length", "6", "--workers", "3")
+        assert json.loads(base[1])["count"] == json.loads(multi[1])["count"] == 258
 
     def test_workers_split_uneven_ranges(self):
-        # 126 subsets do not split evenly over 4 workers; unlike the carousel,
+        # 210 subsets do not split evenly over 4 workers; unlike the carousel,
         # this tournament has cycles among the last subsets
-        args = ("count", "--random", "9", "--seed", "3", "--length", "4")
+        args = ("count", "--random", "10", "--seed", "3", "--length", "6")
         base = run_cli(*args)
         multi = run_cli(*args, "--workers", "4")
         assert multi == base and base[0] == EXIT_OK
@@ -180,11 +181,13 @@ class TestVerifyLemma:
             lambda d: d["chunks"]["0"].update(max="8"),
             lambda d: d["chunks"]["0"].update(min=None),
             lambda d: d["chunks"]["0"].update(achievers=[8]),
+            lambda d: d["chunks"]["0"]["achievers"].reverse(),
+            lambda d: d["chunks"]["0"]["achievers"].insert(0, 0),
         ],
         ids=[
             "no-chunks", "chunks-not-object", "unaligned-key", "key-past-end",
             "padded-key", "no-achievers", "max-not-int", "min-not-int",
-            "achiever-outside-chunk",
+            "achiever-outside-chunk", "achievers-descending", "achiever-repeated",
         ],
     )
     def test_corrupt_checkpoint_is_usage_error(self, tmp_path, corrupt):

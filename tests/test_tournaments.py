@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourcycles.tournaments import (
+    COUNT_DP_BYTES,
     DegreeSequence,
     Tournament,
     _dp_dtype,
@@ -21,6 +22,7 @@ from tourcycles.tournaments import (
     make_transitive,
     normalized_density,
     parse_tournament,
+    pooled_cycle_count,
     sample_random,
     sample_w_random,
 )
@@ -30,6 +32,7 @@ from conftest import (
     brute_cycle_count,
     brute_cycle_sum,
     brute_four_profile,
+    dp_cycle_count,
     random_tournament,
     tournament_from_bits,
 )
@@ -212,6 +215,67 @@ class TestCycleSum:
         assert peak < 1 << 20
 
 
+class _OrderOnly:
+    """Stands in for a tournament of order n; building its adjacency fails."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def adjacency(self):
+        raise LookupError("adjacency built")
+
+
+class TestTraceForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_small_tournament_matches_arrangement_oracle(self, n):
+        for t in all_tournaments(n):
+            for length in (3, 4, 5):
+                assert exact_cycle_count(t, length) == brute_cycle_count(t, length)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(6, 9), bits=st.integers(0, 2**36 - 1), length=st.integers(3, 5))
+    def test_random_tournaments_match_arrangement_oracle(self, n, bits, length):
+        t = tournament_from_bits(n, bits & ((1 << (n * (n - 1) // 2)) - 1))
+        assert exact_cycle_count(t, length) == brute_cycle_count(t, length)
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+    def test_matches_subset_dp(self, n):
+        t = sample_random(n, seed=200 + n)
+        for length in (3, 4, 5):
+            assert exact_cycle_count(t, length) == dp_cycle_count(t, length) > 0
+
+    # the least n with n^l >= 2^63: (n-1)^l is still below it
+    @pytest.mark.parametrize("length, n", [(3, 2_097_152), (4, 55_109), (5, 6_209)])
+    def test_int64_bound_refused_before_building(self, length, n):
+        assert (n - 1) ** length < 1 << 63 <= n**length
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="overflow"):
+                exact_cycle_count(_OrderOnly(n), length)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(LookupError):  # one vertex fewer passes the check
+            exact_cycle_count(_OrderOnly(n - 1), length)
+
+    def test_zero_workers_refused(self):
+        with pytest.raises(ValueError):
+            pooled_cycle_count(make_carousel(5), 3, 0)
+
+    def test_layered_dp_memory(self):
+        # n=16, l=8: the working set of a batch is bounded by COUNT_DP_BYTES
+        t = sample_random(16, seed=1)
+        tracemalloc.start()
+        try:
+            count = exact_cycle_count(t, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 226_918
+        assert peak < 2 * COUNT_DP_BYTES
+
+
 class TestGoodman:
     def test_transitive_is_zero(self):
         assert goodman_count3(make_transitive(5)) == 0
@@ -219,21 +283,23 @@ class TestGoodman:
     def test_carousel5(self):
         assert goodman_count3(make_carousel(5)) == 5
 
+    # each count goes through both the trace form (exact_cycle_count) and
+    # the subset DP (dp_cycle_count runs cycle_sum on every 3-subset)
     def test_carousel9(self):
         # binom(9,3) - 9*binom(4,2) = 84 - 54
         t = make_carousel(9)
-        assert goodman_count3(t) == 30 == exact_cycle_count(t, 3)
+        assert goodman_count3(t) == 30 == exact_cycle_count(t, 3) == dp_cycle_count(t, 3)
 
     def test_exhaustive_small(self):
         for n in (3, 4, 5):
             for t in all_tournaments(n):
-                assert goodman_count3(t) == exact_cycle_count(t, 3)
+                assert goodman_count3(t) == exact_cycle_count(t, 3) == dp_cycle_count(t, 3)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(6, 9), seed=st.integers(0, 2**32 - 1))
     def test_random_agreement(self, n, seed):
         t = random_tournament(n, np.random.default_rng(seed))
-        assert goodman_count3(t) == exact_cycle_count(t, 3)
+        assert goodman_count3(t) == exact_cycle_count(t, 3) == dp_cycle_count(t, 3)
 
 
 class TestDensities:
