@@ -191,7 +191,7 @@ def cmd_reproduce(args) -> int:
     carousel = limits.carousel_tournamenton(args.grid)
     for length in range(3, 9):
         if length % 4 == 2:
-            grid = limits.StepTournamenton(np.full((args.grid, args.grid), 0.5))
+            grid = limits.StepTournamenton.from_first_row(np.full(args.grid, 0.5))
             construction = "quasirandom"
         else:
             grid, construction = carousel, "carousel"

@@ -6,8 +6,10 @@ of [0,1]^2.  Its scaled matrix A = W/k is complementary, and the cycle
 density of length l is exactly 2^l * Trace(A^l).
 
 The carousel kernel sends each point to beat the half circle after it; its
-grids are circulant, so their densities come from the FFT of one row, and
-they converge to the conjectured maxima for lengths divisible by four.
+grids are circulant, so they are held as their first row alone (the grid is
+a strided view of it, O(k) memory), their densities come from the FFT of
+that row, and they converge to the conjectured maxima for lengths divisible
+by four.
 Those maxima are the series 1 + 2 * sum_i (2 / ((2i-1) pi))^l, which equals
 1 + T/(l-1)! for the tangent number T; they are computed here exactly.
 """
@@ -15,7 +17,7 @@ Those maxima are the series 1 + 2 * sum_i (2 / ((2i-1) pi))^l, which equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,6 @@ from .spectral import (
     circulant_spectrum,
     eigenvalues,
     format_matrix,
-    make_dominant,
     parse_matrix,
     skew_spectrum,
     trace_power,
@@ -61,25 +62,57 @@ GRID_TOL = 1e-12
 class StepTournamenton:
     """k x k grid of values in [0,1] with W_ij + W_ji = 1 and diagonal 1/2.
 
-    ``values`` is a read-only float64 copy of the grid it is given, and that
-    copy is the only k x k array the checks allocate; NaN fails every one.
+    Built from a grid, ``values`` is a read-only float64 copy of it, the only
+    k x k array the checks allocate, and ``first_row`` is None.  Built with
+    ``from_first_row``, the grid is circulant: ``first_row`` is a read-only
+    copy of the row and ``values`` a read-only strided view of it, so nothing
+    of size k x k is allocated.  NaN fails every check.
     """
 
     values: np.ndarray
+    first_row: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         _require_square(v, "step tournamenton grid")
-        if not (v.min() >= -GRID_TOL and v.max() <= 1 + GRID_TOL):
-            raise ValueError("grid values must lie in [0, 1]")
+        _require_unit_range(v)
         if not (_max_pair_error(v, 1.0) <= GRID_TOL):
             raise ValueError("W_ij + W_ji must equal 1")
+
+    @classmethod
+    def from_first_row(cls, row) -> StepTournamenton:
+        """Circulant grid whose row i is ``row`` shifted i places right.
+
+        W_ij + W_ji = row[(j-i) % k] + row[(i-j) % k], so the pair check of
+        the whole grid is row[d] + row[(k-d) % k] = 1 for every offset d,
+        which is O(k); d = 0 is the diagonal 1/2.  Row i is window k - i of
+        the doubled row, and ``values`` is the (k, k) view of those windows.
+        """
+        r = np.asarray(row, dtype=float)
+        if r.ndim != 1 or r.size == 0:
+            raise ValueError(f"first row must be 1-D and non-empty, got shape {r.shape}")
+        _require_unit_range(r)
+        if not (np.max(np.abs(r + np.roll(r[::-1], 1) - 1.0)) <= GRID_TOL):
+            raise ValueError("W_ij + W_ji must equal 1")
+        k = r.size
+        doubled = np.concatenate((r, r))
+        doubled.flags.writeable = False
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, k)
+        w = object.__new__(cls)
+        object.__setattr__(w, "values", windows[k:0:-1])
+        object.__setattr__(w, "first_row", doubled[:k])
+        return w
 
     @property
     def k(self) -> int:
         return self.values.shape[0]
+
+
+def _require_unit_range(v: np.ndarray) -> None:
+    if not (v.min() >= -GRID_TOL and v.max() <= 1 + GRID_TOL):
+        raise ValueError("grid values must lie in [0, 1]")
 
 
 def carousel_tournamenton(k: int) -> StepTournamenton:
@@ -91,18 +124,15 @@ def carousel_tournamenton(k: int) -> StepTournamenton:
     d = k/2.  Odd k would leave cells straddling the boundary, hence the
     parity requirement.
 
-    Only the first row is built.  Row i is that row shifted i places right,
-    which is window k - i of the doubled row, so the grid is handed to
-    StepTournamenton as a strided view of those windows and its one copy
-    there is the grid's only k x k allocation.
+    The grid is circulant, so only its first row is built and kept; see
+    ``StepTournamenton.from_first_row``.
     """
     if k < 2 or k % 2:
         raise ValueError(f"carousel grid needs even k >= 2, got {k}")
     first = np.zeros(k)
     first[1 : k // 2] = 1.0
     first[0] = first[k // 2] = 0.5
-    doubled = np.concatenate((first, first))
-    return StepTournamenton(np.lib.stride_tricks.sliding_window_view(doubled, k)[k:0:-1])
+    return StepTournamenton.from_first_row(first)
 
 
 def random_step_tournamenton(k: int, seed: int) -> StepTournamenton:
@@ -129,11 +159,16 @@ def step_approximation(w: StepTournamenton, coarse_k: int) -> ComplementaryMatri
 def cycle_density_W(w: StepTournamenton, length: int) -> float:
     """Exact cycle density of the step tournamenton: 2^l * Trace((W/k)^l).
 
-    Computed as (2/k)^l * Trace(W^l), so the grid is never copied.
+    Computed as (2/k)^l * Trace(W^l), so the grid is never copied.  A grid
+    held as its first row takes Trace(W^l) as the power sum of that row's FFT.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    return float((2 / w.k) ** length * trace_power(w.values, length))
+    if w.first_row is None:
+        trace = trace_power(w.values, length)
+    else:
+        trace = float(np.sum(np.fft.fft(w.first_row) ** length).real)
+    return float((2 / w.k) ** length * trace)
 
 
 @dataclass(frozen=True)
@@ -278,7 +313,12 @@ class DominanceReport:
 
 
 def antisym_dominance(a) -> DominanceReport:
-    """Spectral radius of a [-1,1] skew matrix against the dominant matrix of its order."""
+    """Spectral radius of a [-1,1] skew matrix against the dominant matrix of its order.
+
+    D_n is skew-circulant, so the twisted DFT diagonalises it (Davis,
+    *Circulant Matrices*, 1979): its eigenvalues are i cot(pi (2m+1) / 2n)
+    and rho(D_n) = cot(pi / 2n), taken in closed form.
+    """
     arr = np.asarray(getattr(a, "values", a), dtype=float)
     if not isinstance(a, SkewMatrix):
         SkewMatrix(arr)
@@ -286,17 +326,18 @@ def antisym_dominance(a) -> DominanceReport:
         raise ValueError("entries must lie in [-1, 1]")
     n = arr.shape[0]
     rho_a = float(np.max(np.abs(skew_spectrum(arr))))
-    rho_d = float(np.max(np.abs(skew_spectrum(make_dominant(n)))))
+    rho_d = 1 / math.tan(math.pi / (2 * n))
     return DominanceReport(rho_a=rho_a, rho_d=rho_d, ok=rho_a <= rho_d + 1e-9)
 
 
 def regular_second_eigenvalue(w: StepTournamenton) -> float:
     """Largest eigenvalue modulus of a regular grid besides the 1/2 eigenvalue."""
     k = w.k
-    row_sums = w.values.sum(axis=1)
-    if np.max(np.abs(row_sums - k / 2)) > 1e-9:
+    # every row of a circulant grid holds the entries of its first row
+    rows = w.values if w.first_row is None else w.first_row[None, :]
+    if np.max(np.abs(rows.sum(axis=1) - k / 2)) > 1e-9:
         raise ValueError("grid is not regular: row sums must all equal k/2")
-    vals = circulant_spectrum(w.values)
+    vals = circulant_spectrum(w.values) if w.first_row is None else np.fft.fft(w.first_row)
     if vals is None:
         vals = eigenvalues(step_approximation(w, k)).eigenvalues
     else:

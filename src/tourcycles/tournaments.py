@@ -234,14 +234,19 @@ def cycle_sum_width(m: int, budget: int) -> int:
     return max(1, budget // (rows * p * np.dtype(_dp_dtype(m)).itemsize))
 
 
-@lru_cache(maxsize=None)
+# step tables of up to this many vertices (4 MiB of indices at 16) are cached
+# and shared; larger ones are built per call, so they do not stay resident
+_CACHED_STEPS_P = 16
+
+
 def _layer_steps(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Scatter indices of the popcount-layer DP over subsets of p vertices.
 
     Layer k lists the k-subsets as ascending bitmasks.  Step k (k = 1 .. p-1)
     is a pair of int32 arrays over the pairs (subset r of layer k, vertex v
     not in r): the flat index r * p + v into the step's ``prod`` and the
-    flat index r' * p + v into layer k+1, where r' = r with v added.
+    flat index r' * p + v into layer k+1, where r' = r with v added.  The
+    arrays are read-only; ``_cached_layer_steps`` shares them between calls.
     """
     masks = np.arange(1 << p, dtype=np.int32)
     sizes = sum(masks >> b & 1 for b in range(p))
@@ -258,6 +263,9 @@ def _layer_steps(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     for arr in chain.from_iterable(steps):
         arr.flags.writeable = False  # shared by every caller
     return tuple(steps)
+
+
+_cached_layer_steps = lru_cache(maxsize=None)(_layer_steps)
 
 
 def cycle_sum(w: np.ndarray) -> np.ndarray:
@@ -292,7 +300,8 @@ def cycle_sum(w: np.ndarray) -> np.ndarray:
     inner = w[1:, 1:]
     dp = np.zeros((p, p, batch), dtype=dtype)
     dp[np.arange(p), np.arange(p)] = w[0, 1:]
-    for k, (src, dst) in enumerate(_layer_steps(p), start=1):
+    steps = _cached_layer_steps(p) if p <= _CACHED_STEPS_P else _layer_steps(p)
+    for k, (src, dst) in enumerate(steps, start=1):
         prod = np.empty_like(dp)
         tmp = np.empty_like(dp)
         np.multiply(dp[:, 0, None], inner[0], out=prod)

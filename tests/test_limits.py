@@ -90,23 +90,100 @@ class TestCarouselGrid:
         want[(d == 0) | (d == k // 2)] = 0.5
         assert carousel_tournamenton(k).values.tobytes() == want.tobytes()
 
-    def test_grid_is_readonly_and_contiguous(self):
-        v = carousel_tournamenton(130).values
-        assert v.dtype == np.float64 and v.flags.c_contiguous and v.flags.owndata
-        assert not v.flags.writeable
+    def test_grid_is_a_readonly_view_of_its_first_row(self):
+        w = carousel_tournamenton(130)
+        v = w.values
+        assert v.dtype == np.float64 and v.shape == (130, 130)
+        assert not v.flags.writeable and not w.first_row.flags.writeable
+        assert np.shares_memory(v, w.first_row)
         with pytest.raises(ValueError):
             v[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            w.first_row[0] = 1.0
 
-    def test_one_grid_sized_allocation(self):
-        k = 2048
-        tracemalloc.start()
-        try:
-            w = carousel_tournamenton(k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert w.k == k
-        assert peak < 1.1 * k * k * 8
+    def test_linear_allocation(self):
+        for k in (2048, 2**20):
+            tracemalloc.start()
+            try:
+                w = carousel_tournamenton(k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert w.k == k
+            assert peak < 64 * k
+
+
+def rolled(row: np.ndarray) -> np.ndarray:
+    """Dense circulant grid: row i is ``row`` shifted i places right."""
+    return np.array([np.roll(row, i) for i in range(len(row))])
+
+
+@st.composite
+def first_rows(draw, valid_only=False):
+    """Rows with row[d] + row[k-d] = 1, then one defect unless ``valid_only``.
+
+    A broken pair is shifted by a margin on either side of GRID_TOL; an
+    out-of-range entry keeps its pair sum at 1, so only the range check sees it.
+    """
+    k = draw(st.integers(1, 16))
+    x = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    row = np.full(k, 0.5)
+    for d in range(1, (k + 1) // 2):
+        row[d], row[k - d] = x[d], 1.0 - x[d]
+    defect = "valid" if valid_only else draw(st.sampled_from(["valid", "pair", "range", "nan"]))
+    d = draw(st.integers(0, k - 1))
+    if defect == "pair":
+        row[d] += draw(st.sampled_from([5e-13, 2e-12, -2e-12, 0.25]))
+    elif defect == "range":
+        row[d] = draw(st.sampled_from([-0.25, -2e-12, 1 + 2e-12, 1.5]))
+        row[(k - d) % k] = 1.0 - row[d]
+    elif defect == "nan":
+        row[d] = np.nan
+    return row
+
+
+def accepts(build, arg) -> bool:
+    try:
+        build(arg)
+    except ValueError:
+        return False
+    return True
+
+
+class TestFromFirstRow:
+    """The circulant constructor against the dense grid of the rolled rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=first_rows())
+    def test_accepts_exactly_when_dense_grid_does(self, row):
+        assert accepts(StepTournamenton.from_first_row, row) == accepts(
+            StepTournamenton, rolled(row)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=first_rows(valid_only=True))
+    def test_density_matches_matrix_power(self, row):
+        w = StepTournamenton.from_first_row(row)
+        assert np.array_equal(w.values, rolled(row))
+        a = w.values / w.k
+        for length in range(3, 9):
+            want = 2**length * np.trace(np.linalg.matrix_power(a, length))
+            assert cycle_density_W(w, length) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("row", [[], [[0.5]], 0.5], ids=["empty", "2-d", "scalar"])
+    def test_rejects_non_rows(self, row):
+        with pytest.raises(ValueError):
+            StepTournamenton.from_first_row(row)
+
+    def test_keeps_a_private_copy(self):
+        row = np.array([0.5, 1.0, 0.5, 0.0])
+        w = StepTournamenton.from_first_row(row)
+        row[1], row[3] = 0.0, 1.0
+        assert w.values[0].tolist() == [0.5, 1.0, 0.5, 0.0]
+
+    def test_dense_grids_have_no_first_row(self):
+        assert constant_half(4).first_row is None
+        assert random_step_tournamenton(4, seed=1).first_row is None
 
 
 class TestStepApproximation:
@@ -375,6 +452,14 @@ class TestRegularSecondEigenvalue:
         rest = np.delete(vals, np.argmin(np.abs(vals - 0.5)))
         assert regular_second_eigenvalue(w) == pytest.approx(
             float(np.max(np.abs(rest))), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 64, 512, 4096, 2**16])
+    def test_carousel_closed_form(self, k):
+        # besides 1/2, W/k has i cot(pi j / k) / k at odd j and 0 at even j
+        want = 1 / (math.tan(math.pi / k) * k)
+        assert regular_second_eigenvalue(carousel_tournamenton(k)) == pytest.approx(
+            want, rel=0, abs=1e-12
         )
 
     def test_rejects_irregular_grid(self):

@@ -214,6 +214,21 @@ class TestCycleSum:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_large_step_tables_not_retained(self):
+        # order 18 builds the 17-vertex step table (about 9 MB of indices);
+        # beyond 16 vertices it is dropped with the call, not cached
+        m = 18
+        w = (np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8))[:, :, None]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            total = cycle_sum(w)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total.tolist() == [math.factorial(m - 1)]
+        assert after - before < 2**20
+
 
 class _OrderOnly:
     """Stands in for a tournament of order n; building its adjacency fails."""
@@ -274,6 +289,7 @@ class TestTraceForm:
             tracemalloc.stop()
         assert count == 226_918
         assert peak < 2 * COUNT_DP_BYTES
+
 
 
 class TestGoodman:
