@@ -122,7 +122,7 @@ def cmd_count(args) -> int:
     t = _tournament_from_args(args)
     if args.length > t.n:
         raise ValueError(f"cycle length {args.length} exceeds vertex count {t.n}")
-    count = tournaments.pooled_cycle_count(t, args.length, args.workers)
+    count = tournaments.exact_cycle_count(t, args.length, workers=args.workers)
     expected = tournaments.expected_random_cycles(t.n, args.length)
     density = count / expected
     tdensity = spectral.trace_density(t, args.length)
@@ -221,7 +221,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_conjecture_table(args) -> int:
-    """CSV of c(l) for l = 4, 8, ...; exact values, so terms_used and truncation_bound are 0."""
+    """Table of c(l) for l = 4, 8, ...; exact values, so terms_used and truncation_bound are 0."""
+    if args.max_length < 4:
+        raise ValueError(f"--max-length must be >= 4, got {args.max_length}")
     rows = []
     for length in range(4, args.max_length + 1, 4):
         cv = limits.conjectured_c(length)
@@ -234,8 +236,7 @@ def cmd_conjecture_table(args) -> int:
                 "truncation_bound": cv.truncation_bound,
             }
         )
-    fmt = args.format if args.format != "json" else "csv"
-    _emit(_render_report(rows, fmt), args.output)
+    _emit(_render_report(rows, args.format), args.output)
     return EXIT_OK
 
 
@@ -267,12 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def common(p, fmt="json"):
         p.add_argument("--output", "-o", help="write to file instead of stdout")
         if fmt:
-            p.add_argument(
-                "--format", choices=("json", "csv", "text"), default="json"
-            )
+            p.add_argument("--format", choices=("json", "csv", "text"), default=fmt)
 
     p = sub.add_parser("count", help="exact cycle count and densities")
     _add_tournament_source(p)
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue report of a tournament or matrix")
     _add_tournament_source(p)
     p.add_argument("--matrix-file", help="read a raw matrix instead of a tournament")
-    common(p, fmt=False)
+    common(p, fmt=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("profile4", help="induced 4-vertex subtournament counts")
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strip-elapsed", action="store_true", help="omit timing from the report"
     )
-    common(p, fmt=False)
+    common(p, fmt=None)
     p.set_defaults(func=cmd_verify_lemma)
 
     p = sub.add_parser("reproduce", help="limit-density reproduction table")
@@ -311,20 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture-table", help="series values for lengths 4, 8, ...")
     p.add_argument("--max-length", type=int, default=32)
-    common(p)
+    common(p, fmt="csv")
     p.set_defaults(func=cmd_conjecture_table)
 
     p = sub.add_parser("carousel", help="emit a carousel tournament or grid")
     p.add_argument("n", type=int, nargs="?", default=9, help="vertex count (odd)")
     p.add_argument("--grid", type=int, help="emit the grid at this resolution instead")
-    common(p, fmt=False)
+    common(p, fmt=None)
     p.set_defaults(func=cmd_carousel)
 
     p = sub.add_parser("sample", help="sample a (W-)random tournament")
     p.add_argument("n", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w-grid", help="step tournamenton file to sample from")
-    common(p, fmt=False)
+    common(p, fmt=None)
     p.set_defaults(func=cmd_sample)
 
     return parser

@@ -7,9 +7,11 @@ density of length l is exactly 2^l * Trace(A^l).
 
 The carousel kernel sends each point to beat the half circle after it; its
 grids are circulant, so they are held as their first row alone (the grid is
-a strided view of it, O(k) memory), their densities come from the FFT of
-that row, and they converge to the conjectured maxima for lengths divisible
-by four.
+a strided view of it, O(k) memory), and they converge to the conjectured
+maxima for lengths divisible by four.  ``StepTournamenton.first_row`` is the
+only record of circulance: a grid that has one takes its densities and
+spectrum from the FFT of that row, and every other grid, circulant or not,
+goes through dense matrix algebra.
 Those maxima are the series 1 + 2 * sum_i (2 / ((2i-1) pi))^l, which equals
 1 + T/(l-1)! for the tangent number T; they are computed here exactly.
 """
@@ -27,7 +29,6 @@ from .spectral import (
     SkewMatrix,
     _max_pair_error,
     _require_square,
-    circulant_spectrum,
     eigenvalues,
     format_matrix,
     parse_matrix,
@@ -266,13 +267,13 @@ def check_midterms(b) -> MidtermsReport:
     if np.any(np.abs(a) > 1 + GRID_TOL):
         raise ValueError("entries must lie in [-1, 1]")
     n = a.shape[0]
-    j = np.ones((n, n))
     bj = a.sum(axis=1)
     norm2 = float(bj @ bj)
-    lhs4 = trace_power(j + a, 4)
-    rhs4 = trace_power(j, 4) + trace_power(a, 4) - 4 * n * norm2
-    lhs8 = trace_power(j + a, 8)
-    slack8 = trace_power(j, 8) + trace_power(a, 8) - 2 * n**5 * norm2 - lhs8
+    jb = a + 1.0  # J + B; J = jj^T, so Trace J^p = n^p exactly
+    lhs4 = trace_power(jb, 4)
+    rhs4 = n**4 + trace_power(a, 4) - 4 * n * norm2
+    lhs8 = trace_power(jb, 8)
+    slack8 = n**8 + trace_power(a, 8) - 2 * n**5 * norm2 - lhs8
     return MidtermsReport(
         residual4=abs(lhs4 - rhs4),
         slack8=slack8,
@@ -331,17 +332,20 @@ def antisym_dominance(a) -> DominanceReport:
 
 
 def regular_second_eigenvalue(w: StepTournamenton) -> float:
-    """Largest eigenvalue modulus of a regular grid besides the 1/2 eigenvalue."""
+    """Largest eigenvalue modulus of a regular grid besides the 1/2 eigenvalue.
+
+    The spectrum of W/k is the FFT of the first row over k for a grid held
+    as its first row, and comes from the dense eigensolver otherwise.
+    """
     k = w.k
     # every row of a circulant grid holds the entries of its first row
     rows = w.values if w.first_row is None else w.first_row[None, :]
     if np.max(np.abs(rows.sum(axis=1) - k / 2)) > 1e-9:
         raise ValueError("grid is not regular: row sums must all equal k/2")
-    vals = circulant_spectrum(w.values) if w.first_row is None else np.fft.fft(w.first_row)
-    if vals is None:
-        vals = eigenvalues(step_approximation(w, k)).eigenvalues
+    if w.first_row is None:
+        vals = eigenvalues(w.values / k).eigenvalues
     else:
-        vals = vals / k
+        vals = np.fft.fft(w.first_row) / k
     half_pos = int(np.argmin(np.abs(vals - 0.5)))
     if abs(vals[half_pos] - 0.5) > 1e-6:
         raise ValueError("regular grid is missing its 1/2 eigenvalue")

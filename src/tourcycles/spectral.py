@@ -6,11 +6,6 @@ eigenvalues sum to 1/2, have non-negative real part, and the spectral radius
 is attained by a positive real eigenvalue.  Cycle densities are approximated
 by 2^l * Trace(A^l) up to O(1/n).
 
-A circulant matrix (every row the cyclic shift of the one above) is
-diagonalized by the Fourier basis: its eigenvalues are the FFT of its first
-row, so its trace powers cost O(n log n) once the O(n^2) circulant check
-has passed.
-
 Eigenvalues are computed with LAPACK via numpy (Hessenberg reduction plus
 shifted QR with deflation for general matrices; for a skew matrix B the
 spectrum is recovered from the symmetric negative-semidefinite matrix B^2,
@@ -33,7 +28,6 @@ __all__ = [
     "tournament_matrix",
     "skew_part",
     "make_dominant",
-    "circulant_spectrum",
     "trace_power",
     "trace_density",
     "eigenvalues",
@@ -178,36 +172,11 @@ def _dense(m) -> np.ndarray:
     return np.asarray(getattr(m, "values", m), dtype=float)
 
 
-def circulant_spectrum(m) -> np.ndarray | None:
-    """Eigenvalues of M as the FFT of its first row, or None unless M is exactly circulant.
-
-    M is circulant when every row i equals the first row cyclically shifted
-    i places right.  Rows are compared one at a time against views of the
-    doubled first row, so the check builds no n x n temporary and stops at
-    the first row that differs.
-    """
-    a = _dense(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        return None
-    n = a.shape[0]
-    first = a[0]
-    # shifts[n - i] is the first row shifted i places right
-    shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((first, first)), n)
-    for i in range(1, n):
-        if (a[i] != shifts[n - i]).any():
-            return None
-    return np.fft.fft(first)
-
-
 def trace_power(m, power: int) -> float:
-    """Trace(M^power): sum of eigenvalue powers if M is circulant, else binary powering."""
+    """Trace(M^power) by binary powering of the dense matrix."""
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
-    a = _dense(m)
-    lam = circulant_spectrum(a)
-    if lam is not None:
-        return float(np.sum(lam**power).real)
-    return float(np.trace(np.linalg.matrix_power(a, power)))
+    return float(np.trace(np.linalg.matrix_power(_dense(m), power)))
 
 
 def trace_density(t: Tournament, length: int) -> float:

@@ -261,6 +261,24 @@ class TestConjectureTable:
         assert float(first[1]) == pytest.approx(4 / 3, abs=1e-12)
         assert float(first[2]) == pytest.approx(1 + 2 * (2 / 3.141592653589793) ** 4)
 
+    def test_json_rows_match_csv(self):
+        code, out, _ = run_cli("conjecture-table", "--max-length", "16", "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)
+        _, csv_out, _ = run_cli("conjecture-table", "--max-length", "16")
+        lines = csv_out.strip().splitlines()
+        keys = lines[0].split(",")
+        assert [list(r) for r in rows] == [keys] * 4
+        for row, line in zip(rows, lines[1:]):
+            for key, cell in zip(keys, line.split(",")):
+                assert float(cell) == pytest.approx(row[key], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("max_length", ["3", "0", "-4"])
+    def test_max_length_below_four_is_usage_error(self, max_length):
+        code, out, err = run_cli("conjecture-table", "--max-length", max_length)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --max-length must be >= 4, got {max_length}\n"
+
 
 class TestGenerators:
     def test_carousel_output_parses(self):
