@@ -122,7 +122,7 @@ def cmd_count(args) -> int:
     t = _tournament_from_args(args)
     if args.length > t.n:
         raise ValueError(f"cycle length {args.length} exceeds vertex count {t.n}")
-    count = tournaments.exact_cycle_count(t, args.length, workers=args.workers)
+    count = tournaments.pooled_cycle_count(t, args.length, args.workers)
     expected = tournaments.expected_random_cycles(t.n, args.length)
     density = count / expected
     tdensity = spectral.trace_density(t, args.length)

@@ -38,6 +38,7 @@ __all__ = [
     "sample_w_random",
     "cycle_sum",
     "exact_cycle_count",
+    "pooled_cycle_count",
     "goodman_count3",
     "expected_random_cycles",
     "normalized_density",
@@ -363,15 +364,22 @@ def _trace_cycle_count(t: Tournament, length: int) -> int:
     return int(np.einsum("ij,ji->", a2, rest)) // length
 
 
-def exact_cycle_count(t: Tournament, length: int, workers: int = 1) -> int:
+def exact_cycle_count(t: Tournament, length: int) -> int:
     """Exact number of directed cycles of the given length in ``t``.
 
     Lengths 3, 4 and 5 are tr(A^l) / l (``_trace_cycle_count``): no closed
-    walk that short can repeat a vertex in a tournament, so they need neither
-    subsets nor workers.  Longer cycles go through the subset DP of
-    ``cycle_sum``, with the l-subsets split into ``workers`` contiguous
-    ranges, each counted by one worker of ``pool_map``; the integer sum does
-    not depend on the split.
+    walk that short can repeat a vertex in a tournament.  Longer cycles go
+    through the subset DP of ``cycle_sum``.
+    """
+    return pooled_cycle_count(t, length, 1)
+
+
+def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
+    """``exact_cycle_count`` with the l-subsets split into ``workers`` contiguous ranges.
+
+    Each range is counted by one worker of ``pool_map``; the integer sum
+    does not depend on the split.  Lengths up to 5 take the closed form and
+    need neither subsets nor workers.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")

@@ -22,6 +22,7 @@ from tourcycles.tournaments import (
     make_transitive,
     normalized_density,
     parse_tournament,
+    pooled_cycle_count,
     sample_random,
     sample_w_random,
 )
@@ -275,7 +276,7 @@ class TestTraceForm:
 
     def test_zero_workers_refused(self):
         with pytest.raises(ValueError):
-            exact_cycle_count(make_carousel(5), 3, workers=0)
+            pooled_cycle_count(make_carousel(5), 3, 0)
 
     def test_layered_dp_memory(self):
         # n=16, l=8: the working set of a batch is bounded by COUNT_DP_BYTES
