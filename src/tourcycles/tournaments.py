@@ -3,11 +3,13 @@
 A tournament on n vertices is an orientation of the complete graph K_n.
 Adjacency is stored as one out-neighbour bitset per vertex.
 
-A tournament has no loops and no 2-cycles, so no closed walk of length
-l <= 5 repeats a vertex: cycles of length 3, 4 and 5 are tr(A^l) / l,
-computed with int64 matrix powers.  Longer cycles stream the l-subsets of
-the vertices through one batched subset DP, ``cycle_sum``, which counts the
-directed Hamiltonian cycles of each induced subtournament over
+Cycles of length 3 to 8 are closed-walk counts: tr(A^l), from int64
+matrix powers, minus the closed walks that repeat a vertex, which Moebius
+inversion over the set partitions of the l walk positions writes as a few
+einsum contractions of A (none for l <= 5, since a tournament has no loops
+and no 2-cycles).  Longer cycles stream the l-subsets of the vertices
+through one batched subset DP, ``cycle_sum``, which counts the directed
+Hamiltonian cycles of each induced subtournament over
 (visited-subset, last-vertex) states anchored at the subset's least vertex:
 O(binom(n,l) * 2^l * l^2) overall.  The DP runs one popcount layer at a
 time, pushing all subsets of size k to size k+1 with about 2m numpy calls,
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from multiprocessing import get_context
+from string import ascii_letters
 from typing import Iterable
 
 import numpy as np
@@ -344,32 +347,104 @@ def pool_map(fn, jobs: list, workers: int):
         yield from pool.imap(fn, jobs)
 
 
-def _trace_cycle_count(t: Tournament, length: int) -> int:
-    """Cycles of length 3, 4 or 5 as tr(A^l) / l, in int64 matrix powers.
+def _path_partitions(length: int):
+    """Set partitions of range(length) that put no two consecutive numbers in one block.
 
-    A closed l-walk that repeats a vertex splits at the repeat into two
-    shorter closed walks; for l <= 5 one of them has length 1 or 2, a loop
-    or a 2-cycle, which a tournament does not have.  So every closed walk
-    of length l <= 5 is a directed l-cycle, counted once from each of its l
-    vertices.  tr(A^l) counts at most n^l walks, so orders with
-    n^l >= 2^63 are refused before the adjacency matrix is built.
+    Each is a tuple of block labels, numbered in order of first appearance.
+    """
+    if length == 1:
+        yield (0,)
+        return
+    for labels in _path_partitions(length - 1):
+        for b in range(max(labels) + 2):
+            if b != labels[-1]:
+                yield labels + (b,)
+
+
+def _relabel(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The same partition with its blocks numbered in order of first appearance."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(b, len(first)) for b in labels)
+
+
+@lru_cache(maxsize=None)
+def _walk_corrections(length: int) -> tuple[tuple[int, str, tuple], ...]:
+    """Terms that turn tr(A^l) into l times the number of l-cycles.
+
+    A closed l-walk maps the positions 0 .. l-1 of the l-cycle C_l to
+    vertices, each position i to an out-neighbour of position i-1 (mod l).
+    Grouping the walks by the partition pi of the positions into equal
+    vertices and inverting over the partition lattice gives the walks with
+    l distinct vertices, each l-cycle once per starting vertex:
+
+        l * c_l = sum over pi of mu(pi) * hom(C_l / pi, A),
+        mu(pi) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!,
+
+    where hom counts the maps of the blocks to vertices that send every
+    edge of the quotient C_l / pi to an edge of A.  The finest partition
+    gives tr(A^l).  A quotient with a loop or a 2-cycle has no map into a
+    tournament, which drops every other partition for l <= 5.  Rotating pi
+    leaves hom unchanged, so each rotation class is summed into one
+    coefficient and zero coefficients are dropped.  A term is (coefficient,
+    einsum subscripts over the distinct quotient edges, greedy contraction
+    path); the path is derived once on l x l stand-ins for A, and every
+    path gives the same exact sum.
+    """
+    coefficients: dict[tuple[int, ...], int] = {}
+    for labels in _path_partitions(length):  # the others put a loop in the quotient
+        if len(set(labels)) == length:  # the finest partition: tr(A^l)
+            continue
+        edges = {(labels[i - 1], labels[i]) for i in range(length)}
+        if any(u == v or (v, u) in edges for u, v in edges):
+            continue
+        mu = math.prod(
+            (-1) ** (size - 1) * math.factorial(size - 1)
+            for size in map(labels.count, set(labels))
+        )
+        key = min(_relabel(labels[r:] + labels[:r]) for r in range(length))
+        coefficients[key] = coefficients.get(key, 0) + mu
+    stand_in = np.broadcast_to(np.int64(0), (length, length))
+    terms = []
+    for labels, coefficient in sorted(coefficients.items()):
+        if not coefficient:
+            continue
+        edges = sorted({(labels[i - 1], labels[i]) for i in range(length)})
+        subscripts = ",".join(ascii_letters[u] + ascii_letters[v] for u, v in edges) + "->"
+        path = np.einsum_path(subscripts, *[stand_in] * len(edges), optimize="greedy")[0]
+        terms.append((coefficient, subscripts, tuple(path)))
+    return tuple(terms)
+
+
+def _trace_cycle_count(t: Tournament, length: int) -> int:
+    """Cycles of length 3 to 8 as closed-walk counts, in int64 arithmetic.
+
+    tr(A^l) comes from int64 matrix powers, and the correction terms of
+    ``_walk_corrections`` (none for l <= 5) are contracted with their cached
+    paths and added in Python ints; the total is l times the cycle count.
+    Every term and every partial contraction counts at most n^l maps, so
+    orders with n^l >= 2^63 are refused before the adjacency matrix is built.
     """
     if t.n**length >= 1 << 63:
         raise ValueError(
             f"tr(A^{length}) can overflow int64 at n={t.n}: needs n^{length} < 2^63"
         )
     a = t.adjacency()
-    a2 = a @ a
-    rest = a if length == 3 else a2 if length == 4 else a2 @ a
-    return int(np.einsum("ij,ji->", a2, rest)) // length
+    powers = [a]  # A^1 .. A^ceil(l/2)
+    while len(powers) < length - length // 2:
+        powers.append(powers[-1] @ a)
+    total = int(np.einsum("ij,ji->", powers[length // 2 - 1], powers[-1]))
+    for coefficient, subscripts, path in _walk_corrections(length):
+        operands = [a] * (subscripts.count(",") + 1)
+        total += coefficient * int(np.einsum(subscripts, *operands, optimize=path))
+    return total // length
 
 
 def exact_cycle_count(t: Tournament, length: int) -> int:
     """Exact number of directed cycles of the given length in ``t``.
 
-    Lengths 3, 4 and 5 are tr(A^l) / l (``_trace_cycle_count``): no closed
-    walk that short can repeat a vertex in a tournament.  Longer cycles go
-    through the subset DP of ``cycle_sum``.
+    Lengths 3 to 8 are closed-walk counts (``_trace_cycle_count``): tr(A^l)
+    less the walks that repeat a vertex, as a few matrix contractions.
+    Longer cycles go through the subset DP of ``cycle_sum``.
     """
     return pooled_cycle_count(t, length, 1)
 
@@ -378,8 +453,9 @@ def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
     """``exact_cycle_count`` with the l-subsets split into ``workers`` contiguous ranges.
 
     Each range is counted by one worker of ``pool_map``; the integer sum
-    does not depend on the split.  Lengths up to 5 take the closed form and
-    need neither subsets nor workers.
+    does not depend on the split.  Lengths up to 8 take the closed-walk
+    form and need neither subsets nor workers; longer ones keep the DP,
+    since the closed-walk terms multiply with l (40 at l = 9).
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
@@ -387,7 +463,7 @@ def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if length > t.n:
         return 0
-    if length <= 5:
+    if length <= 8:
         return _trace_cycle_count(t, length)
     adj = t.adjacency().astype(np.int8)  # keeps the subset gathers small
     total = math.comb(t.n, length)

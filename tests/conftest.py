@@ -7,7 +7,7 @@ slice orbits are read off every relabelling and flip vector, and the
 conjectured constants are summed from their defining series, so they can
 vouch for the faster paths.  ``dp_cycle_count`` is the one helper that runs
 a library algorithm: it keeps the subset DP under test at the cycle lengths
-that ``exact_cycle_count`` answers in closed form.
+l <= 8, which ``exact_cycle_count`` answers as closed-walk counts.
 """
 
 from __future__ import annotations

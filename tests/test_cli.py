@@ -38,15 +38,15 @@ class TestCount:
         assert first == second and first[0] == EXIT_OK
 
     def test_workers_do_not_change_result(self):
-        # length 6: lengths up to 5 take the trace form and split no subsets
-        base = run_cli("count", "--carousel", "9", "--length", "6")
-        multi = run_cli("count", "--carousel", "9", "--length", "6", "--workers", "3")
-        assert json.loads(base[1])["count"] == json.loads(multi[1])["count"] == 258
+        # length 9: lengths up to 8 take the closed-walk form and split no subsets
+        base = run_cli("count", "--carousel", "11", "--length", "9")
+        multi = run_cli("count", "--carousel", "11", "--length", "9", "--workers", "3")
+        assert json.loads(base[1])["count"] == json.loads(multi[1])["count"] == 9350
 
     def test_workers_split_uneven_ranges(self):
-        # 210 subsets do not split evenly over 4 workers; unlike the carousel,
+        # 55 subsets do not split evenly over 4 workers; unlike the carousel,
         # this tournament has cycles among the last subsets
-        args = ("count", "--random", "10", "--seed", "3", "--length", "6")
+        args = ("count", "--random", "11", "--seed", "3", "--length", "9")
         base = run_cli(*args)
         multi = run_cli(*args, "--workers", "4")
         assert multi == base and base[0] == EXIT_OK

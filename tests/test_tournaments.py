@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tourcycles import tournaments
 from tourcycles.tournaments import (
     COUNT_DP_BYTES,
     DegreeSequence,
     Tournament,
     _dp_dtype,
+    _walk_corrections,
     cycle_sum,
     exact_cycle_count,
     expected_random_cycles,
@@ -247,20 +249,42 @@ class TestTraceForm:
             for length in (3, 4, 5):
                 assert exact_cycle_count(t, length) == brute_cycle_count(t, length)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(6, 9), bits=st.integers(0, 2**36 - 1), length=st.integers(3, 5))
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(6, 9), bits=st.integers(0, 2**36 - 1), length=st.integers(3, 8))
     def test_random_tournaments_match_arrangement_oracle(self, n, bits, length):
         t = tournament_from_bits(n, bits & ((1 << (n * (n - 1) // 2)) - 1))
+        length = min(length, n)
         assert exact_cycle_count(t, length) == brute_cycle_count(t, length)
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
     def test_matches_subset_dp(self, n):
         t = sample_random(n, seed=200 + n)
-        for length in (3, 4, 5):
+        for length in range(3, 9):
             assert exact_cycle_count(t, length) == dp_cycle_count(t, length) > 0
 
+    def test_no_corrections_up_to_five(self):
+        # every closed walk of length <= 5 in a tournament is a cycle
+        assert all(_walk_corrections(length) == () for length in (3, 4, 5))
+
+    def test_six_cycle_terms(self):
+        # c6 = (tr A^6 - 3 sum_v (A^3)_vv^2 + 3 sum_{u->v} (A^2)_vu^2 - tr A^3) / 6
+        a = sample_random(11, seed=6).adjacency()
+        a2 = a @ a
+        a3 = a2 @ a
+        want = {
+            -3: int((np.diag(a3) ** 2).sum()),
+            3: int((a * a2.T**2).sum()),
+            -1: int(np.trace(a3)),
+        }
+        terms = _walk_corrections(6)
+        got = {c: int(np.einsum(subs, *[a] * (subs.count(",") + 1))) for c, subs, _ in terms}
+        assert len(terms) == 3 and got == want
+
     # the least n with n^l >= 2^63: (n-1)^l is still below it
-    @pytest.mark.parametrize("length, n", [(3, 2_097_152), (4, 55_109), (5, 6_209)])
+    @pytest.mark.parametrize(
+        "length, n",
+        [(3, 2_097_152), (4, 55_109), (5, 6_209), (6, 1_449), (7, 512), (8, 235)],
+    )
     def test_int64_bound_refused_before_building(self, length, n):
         assert (n - 1) ** length < 1 << 63 <= n**length
         tracemalloc.start()
@@ -274,20 +298,29 @@ class TestTraceForm:
         with pytest.raises(LookupError):  # one vertex fewer passes the check
             exact_cycle_count(_OrderOnly(n - 1), length)
 
+    def test_lengths_up_to_eight_start_no_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("pool_map called")
+
+        monkeypatch.setattr(tournaments, "pool_map", no_pool)
+        t = sample_random(12, seed=4)
+        for length in range(3, 9):
+            assert pooled_cycle_count(t, length, 4) == dp_cycle_count(t, length)
+
     def test_zero_workers_refused(self):
         with pytest.raises(ValueError):
             pooled_cycle_count(make_carousel(5), 3, 0)
 
     def test_layered_dp_memory(self):
-        # n=16, l=8: the working set of a batch is bounded by COUNT_DP_BYTES
-        t = sample_random(16, seed=1)
+        # n=14, l=9: 2 002 subsets in 17 batches, each bounded by COUNT_DP_BYTES
+        t = sample_random(14, seed=1)
         tracemalloc.start()
         try:
-            count = exact_cycle_count(t, 8)
+            count = exact_cycle_count(t, 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == 226_918
+        assert count == 165_278
         assert peak < 2 * COUNT_DP_BYTES
 
 
