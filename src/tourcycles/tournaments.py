@@ -505,7 +505,7 @@ def four_profile(t: Tournament) -> FourProfile:
     """Count the induced 4-vertex subtournaments of each type, in closed form.
 
     Every closed 4-walk of a tournament is a directed 4-cycle (see
-    ``_trace_cycle_count``), and only type c4 holds a 4-cycle, exactly one,
+    ``_walk_corrections``), and only type c4 holds a 4-cycle, exactly one,
     so c4 = tr(A^4) / 4.  A source (a vertex beating the other three) exists
     in t4 and w4 only, and is unique, so t4 + w4 = S = sum_v binom(d_v, 3)
     over the out-degrees d_v; likewise sinks give t4 + l4 = R =
