@@ -293,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="exhaustive cyclic-index maximum check")
     p.add_argument("--order", type=int, choices=(4, 8), required=True)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=_default_workers(),
+        help="must be >= 1; the search scans one cached table in this process at any count",
+    )
     p.add_argument("--checkpoint", help="checkpoint file for resume")
     p.add_argument("--full", action="store_true", help="enumerate all matrices (order 4)")
     p.add_argument(

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tournaments import Tournament, _dp_dtype, cycle_sum, pool_map
+from .tournaments import Tournament, _dp_dtype, cycle_sum
 
 __all__ = [
     "SkewSignMatrix",
@@ -403,11 +403,32 @@ class SearchReport:
         return d
 
 
-def _scan_chunk(args) -> tuple[int, int, int, list[int]]:
-    n, restrict, lo, hi = args
+def _scan_chunk(n: int, restrict: bool, lo: int, hi: int) -> dict:
+    """Checkpoint record of masks [lo, hi): max and min Cycl and the sorted maximizers."""
     vals = _cycle_sum_table(n, restrict)[lo:hi]
     best = vals.max()
-    return lo, n * int(best), n * int(vals.min()), (np.flatnonzero(vals == best) + lo).tolist()
+    return {
+        "max": n * int(best),
+        "min": n * int(vals.min()),
+        "achievers": (np.flatnonzero(vals == best) + lo).tolist(),
+    }
+
+
+def _valid_chunk(rec, lo: int, hi: int) -> bool:
+    """Whether a checkpoint record has int max and min and increasing achievers in [lo, hi)."""
+    if not (
+        isinstance(rec, dict)
+        and type(rec.get("max")) is int
+        and type(rec.get("min")) is int
+        and isinstance(rec.get("achievers"), list)
+        and all(type(a) is int for a in rec["achievers"])
+    ):
+        return False
+    try:
+        ach = np.array(rec["achievers"], dtype=np.int64)
+    except OverflowError:
+        return False
+    return not ach.size or bool(lo <= ach[0] and ach[-1] < hi and np.all(ach[1:] > ach[:-1]))
 
 
 def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
@@ -433,15 +454,7 @@ def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
         lo = int(key) if key.isdecimal() else -1
         if str(lo) != key or lo % step or lo >= total:
             raise ValueError(f"checkpoint chunk key {key!r} is not a chunk start")
-        hi = min(lo + step, total)
-        if not (
-            isinstance(rec, dict)
-            and type(rec.get("max")) is int
-            and type(rec.get("min")) is int
-            and isinstance(rec.get("achievers"), list)
-            and all(type(a) is int and lo <= a < hi for a in rec["achievers"])
-            and all(a < b for a, b in itertools.pairwise(rec["achievers"]))
-        ):
+        if not _valid_chunk(rec, lo, min(lo + step, total)):
             raise ValueError(
                 f"checkpoint chunk {key} needs int max, min and increasing in-chunk achievers"
             )
@@ -459,15 +472,20 @@ def search_max_cyclic_index(
 
     With ``restrict_first_row`` the enumeration covers matrices whose first
     row is +1 (one representative set per class); the full enumeration is
-    supported at order 4 as an independent cross-check.  Chunks of the mask
-    space are scanned independently (optionally by a worker pool) and merged
-    deterministically, so the report does not depend on the worker count.
-    A checkpoint file, when given, records finished chunks and allows resume.
+    supported at order 4 as an independent cross-check.  Every value is a
+    slice of one cached table, so the chunks of the mask space are scanned
+    in this process whatever ``workers`` is (it must be >= 1; no pool is
+    started) and merged in start order, so the report does not depend on
+    the worker count.  A checkpoint file, when given, is rewritten after
+    each finished chunk and allows resume; each chunk's JSON text is
+    encoded once and reused by every later write.
     """
     if order not in (4, 8):
         raise ValueError(f"search supports orders 4 and 8, got {order}")
     if not restrict_first_row and order != 4:
         raise ValueError("full (unrestricted) enumeration is only supported at order 4")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.time()
     nbits = len(_free_pairs(order, restrict_first_row))
     total = 1 << nbits
@@ -481,25 +499,21 @@ def search_max_cyclic_index(
     if checkpoint_path and os.path.exists(checkpoint_path):
         done = _load_checkpoint(checkpoint_path, params, total)
 
-    starts = list(range(0, total, chunk_size))
-    pending = [
-        (order, restrict_first_row, lo, min(lo + chunk_size, total))
-        for lo in starts
-        if str(lo) not in done
-    ]
-
-    def record(lo: int, best: int, worst: int, achievers: list[int]):
-        done[str(lo)] = {"max": best, "min": worst, "achievers": achievers}
+    starts = range(0, total, chunk_size)
+    pending = [lo for lo in starts if str(lo) not in done]
+    # the file is json.dumps(dict(params, schema=..., chunks=done)): its head
+    # up to the chunks' opening brace, then one '"lo": record' text per chunk
+    # (the keys are decimal, so quoting them is their JSON encoding)
+    head = json.dumps(dict(params, schema=CHECKPOINT_SCHEMA, chunks={}))[:-2]
+    encoded = [f'"{key}": {json.dumps(rec)}' for key, rec in done.items()] if pending else []
+    for lo in pending:
+        rec = done[str(lo)] = _scan_chunk(order, restrict_first_row, lo, min(lo + chunk_size, total))
         if checkpoint_path:
-            payload = dict(params, schema=CHECKPOINT_SCHEMA, chunks=done)
+            encoded.append(f'"{lo}": {json.dumps(rec)}')
             tmp_path = checkpoint_path + ".tmp"
             with open(tmp_path, "w") as fh:
-                fh.write(json.dumps(payload))
+                fh.write(head + ", ".join(encoded) + "}}")
             os.replace(tmp_path, checkpoint_path)
-
-    _cycle_sum_table(order, restrict_first_row)  # built once; forked workers inherit it
-    for lo, best, worst, ach in pool_map(_scan_chunk, pending, workers):
-        record(lo, best, worst, ach)
 
     gmax = max(c["max"] for c in done.values())
     gmin = min(c["min"] for c in done.values())

@@ -183,11 +183,13 @@ class TestVerifyLemma:
             lambda d: d["chunks"]["0"].update(achievers=[8]),
             lambda d: d["chunks"]["0"]["achievers"].reverse(),
             lambda d: d["chunks"]["0"]["achievers"].insert(0, 0),
+            lambda d: d["chunks"]["0"]["achievers"].append(2**70),
         ],
         ids=[
             "no-chunks", "chunks-not-object", "unaligned-key", "key-past-end",
             "padded-key", "no-achievers", "max-not-int", "min-not-int",
             "achiever-outside-chunk", "achievers-descending", "achiever-repeated",
+            "achiever-huge",
         ],
     )
     def test_corrupt_checkpoint_is_usage_error(self, tmp_path, corrupt):

@@ -1,12 +1,14 @@
 import json
+import multiprocessing
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourcycles import signsearch
+from tourcycles import signsearch, tournaments
 from tourcycles.signsearch import (
     CERTIFIED,
     SkewSignMatrix,
@@ -447,6 +449,73 @@ class TestSearch:
         search_max_cyclic_index(4, chunk_size=8, checkpoint_path=path)
         with pytest.raises(ValueError, match="chunk_size"):
             search_max_cyclic_index(4, chunk_size=4, checkpoint_path=path)
+
+
+    def test_search_starts_no_process(self, monkeypatch):
+        want8 = search_max_cyclic_index(8).to_json_dict(include_elapsed=False)
+        full = dict(restrict_first_row=False, chunk_size=8)
+        want4 = search_max_cyclic_index(4, **full).to_json_dict(include_elapsed=False)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("the search started a process")
+
+        monkeypatch.setattr(tournaments, "pool_map", no_process)
+        monkeypatch.setattr(tournaments, "get_context", no_process)
+        monkeypatch.setattr(multiprocessing, "get_context", no_process)
+        got8 = search_max_cyclic_index(8, workers=2)
+        got4 = search_max_cyclic_index(4, workers=4, **full)
+        assert got8.to_json_dict(include_elapsed=False) == want8
+        assert got4.to_json_dict(include_elapsed=False) == want4
+        with pytest.raises(ValueError, match="workers"):
+            search_max_cyclic_index(4, workers=0)
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    def test_interrupted_checkpoint_keeps_finished_chunks(self, tmp_path, monkeypatch, fail_at):
+        # order 4 full, chunk_size=16: four chunks; the fail_at-th scan dies
+        kwargs = dict(restrict_first_row=False, chunk_size=16)
+        whole = tmp_path / "whole.json"
+        want = search_max_cyclic_index(4, checkpoint_path=str(whole), **kwargs)
+        scan, calls = signsearch._scan_chunk, []
+
+        def dying_scan(*args):
+            calls.append(args)
+            if len(calls) == fail_at:
+                raise KeyboardInterrupt
+            return scan(*args)
+
+        path = tmp_path / "ck.json"
+        monkeypatch.setattr(signsearch, "_scan_chunk", dying_scan)
+        with pytest.raises(KeyboardInterrupt):
+            search_max_cyclic_index(4, checkpoint_path=str(path), **kwargs)
+        monkeypatch.setattr(signsearch, "_scan_chunk", scan)
+        if fail_at == 1:
+            assert not path.exists()
+        else:
+            chunks = json.loads(path.read_text())["chunks"]
+            assert list(chunks) == [str(16 * i) for i in range(fail_at - 1)]
+        got = search_max_cyclic_index(4, checkpoint_path=str(path), **kwargs)
+        assert got.to_json_dict(include_elapsed=False) == want.to_json_dict(include_elapsed=False)
+        assert path.read_bytes() == whole.read_bytes()
+
+    def test_checkpoint_bytes_match_golden(self, tmp_path):
+        path = tmp_path / "ck.json"
+        search_max_cyclic_index(4, restrict_first_row=False, chunk_size=16, checkpoint_path=str(path))
+        golden = Path(__file__).parent / "golden" / "checkpoint-order4-full.json"
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_order8_checkpoint_is_plain_json_dumps(self, tmp_path):
+        path = tmp_path / "ck.json"
+        search_max_cyclic_index(8, checkpoint_path=str(path))
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text))
+        # resumed with two chunks missing, the file is rewritten to the same text
+        data = json.loads(text)
+        del data["chunks"]["0"], data["chunks"]["65536"]
+        path.write_text(json.dumps(data))
+        search_max_cyclic_index(8, checkpoint_path=str(path))
+        resumed = path.read_text()
+        assert resumed == json.dumps(json.loads(resumed))
+        assert json.loads(resumed)["chunks"] == json.loads(text)["chunks"]
 
 
 class TestFixtures:
