@@ -4,7 +4,8 @@ Subcommands: count, spectrum, profile4, verify-lemma, reproduce,
 conjecture-table, carousel, sample.  Exit codes: 0 success / claims
 confirmed, 1 usage or IO error, 2 verification mismatch.  All randomness
 flows from the --seed flag, so every command is deterministic given its
-arguments; TOURCYCLES_WORKERS sets the default worker count.
+arguments.  count and verify-lemma run in one process; their --workers
+flags (default from TOURCYCLES_WORKERS) must be >= 1 and change nothing else.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ def _tournament_from_args(args) -> tournaments.Tournament:
     return tournaments.sample_random(args.random, args.seed)
 
 
+def _add_workers(p: argparse.ArgumentParser):
+    p.add_argument("--workers", type=int, default=_default_workers(),
+                   help="must be >= 1; the command runs in this process at any value")
+
+
 def _add_tournament_source(p: argparse.ArgumentParser):
     p.add_argument("--input", help="tournament text file")
     p.add_argument("--carousel", type=int, help="carousel tournament on N vertices")
@@ -122,7 +128,7 @@ def cmd_count(args) -> int:
     t = _tournament_from_args(args)
     if args.length > t.n:
         raise ValueError(f"cycle length {args.length} exceeds vertex count {t.n}")
-    count = tournaments.pooled_cycle_count(t, args.length, args.workers)
+    count = tournaments.exact_cycle_count(t, args.length)
     expected = tournaments.expected_random_cycles(t.n, args.length)
     density = count / expected
     tdensity = spectral.trace_density(t, args.length)
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact cycle count and densities")
     _add_tournament_source(p)
     p.add_argument("--length", "-l", type=int, default=3)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    _add_workers(p)
     common(p)
     p.set_defaults(func=cmd_count)
 
@@ -293,12 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="exhaustive cyclic-index maximum check")
     p.add_argument("--order", type=int, choices=(4, 8), required=True)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=_default_workers(),
-        help="must be >= 1; the search scans one cached table in this process at any count",
-    )
+    _add_workers(p)
     p.add_argument("--checkpoint", help="checkpoint file for resume")
     p.add_argument("--full", action="store_true", help="enumerate all matrices (order 4)")
     p.add_argument(

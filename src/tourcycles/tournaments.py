@@ -7,16 +7,15 @@ Cycles of length 3 to 8 are closed-walk counts: tr(A^l), from int64
 matrix powers, minus the closed walks that repeat a vertex, which Moebius
 inversion over the set partitions of the l walk positions writes as a few
 einsum contractions of A (none for l <= 5, since a tournament has no loops
-and no 2-cycles).  Longer cycles stream the l-subsets of the vertices
-through one batched subset DP, ``cycle_sum``, which counts the directed
-Hamiltonian cycles of each induced subtournament over
-(visited-subset, last-vertex) states anchored at the subset's least vertex:
-O(binom(n,l) * 2^l * l^2) overall.  The DP runs one popcount layer at a
-time, pushing all subsets of size k to size k+1 with about 2m numpy calls,
-and holds only two layers.  The same kernel computes the cyclic index of
-sign matrices (signsearch).  Its integer dtype is the narrowest of int16,
-int32 and int64 that a proven bound allows, so it is exact for every cycle
-length l <= 21 and refuses longer ones.
+and no 2-cycles).  Longer cycles are counted once each, at their highest
+vertex h, by one subset DP, ``_path_layer``: paths from h over
+(visited-subset, last-vertex) states of the vertices below h, one popcount
+layer at a time, stopped at layer l-1 and closed back to h, all in one
+process.  The same DP run to the full layer is ``cycle_sum``, which sums
+the Hamiltonian cycles of a batch of matrices and computes the cyclic
+index of sign matrices (signsearch).  Its integer dtype is the narrowest
+of int16, int32 and int64 that a proven bound allows, so it is exact for
+every cycle length l <= 21 and refuses longer ones.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
-from multiprocessing import get_context
 from string import ascii_letters
 from typing import Iterable
 
@@ -41,7 +38,6 @@ __all__ = [
     "sample_w_random",
     "cycle_sum",
     "exact_cycle_count",
-    "pooled_cycle_count",
     "goodman_count3",
     "expected_random_cycles",
     "normalized_density",
@@ -50,9 +46,8 @@ __all__ = [
     "format_tournament",
 ]
 
-# Cycle counting holds at most this much DP state at once; the peak RSS of
-# a count grows by about 1 MB per MiB held.
-COUNT_DP_BYTES = 1 << 20
+# An l >= 9 cycle count whose estimated working set exceeds this is refused.
+COUNT_MAX_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -225,50 +220,56 @@ def _dp_dtype(m: int):
     raise ValueError(f"cycle_sum supports orders up to 21, got {m}")
 
 
-def cycle_sum_width(m: int, budget: int) -> int:
-    """Most order-m matrices whose cycle_sum working set fits in ``budget`` bytes (at least 1).
+def _layer_steps(p: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Index tables of the popcount-layer DP over subsets of range(p), up to layer ``stop``.
 
-    A step from subset size k to k+1 holds the layer of size k, its ``prod``
-    and ``tmp`` buffers of the same shape, and the layer of size k+1: each
-    row is m-1 entries per matrix.
+    Layer k lists the k-subsets in ascending bitmask order, so the subsets
+    of range(t) are its first binom(t, k), and the (k+1)-subsets with top
+    vertex c are those first binom(c, k) plus c: each layer is built and
+    ranked from the one before (the combinatorial number system), with no
+    2^p array.  Step k pairs each (k+1)-subset r' with each v in r', in the
+    order of r' and then v: the flat index (rank of r' - {v}) * p + v into
+    the step's product and r' * p + v into layer k+1.  The step over the
+    subsets of range(t) is thus its first (k+1) * binom(t, k+1) pairs.
     """
-    p = m - 1
-    rows = max((3 * math.comb(p, k) + math.comb(p, k + 1) for k in range(1, p)), default=p)
-    return max(1, budget // (rows * p * np.dtype(_dp_dtype(m)).itemsize))
-
-
-# step tables of up to this many vertices (4 MiB of indices at 16) are cached
-# and shared; larger ones are built per call, so they do not stay resident
-_CACHED_STEPS_P = 16
-
-
-def _layer_steps(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Scatter indices of the popcount-layer DP over subsets of p vertices.
-
-    Layer k lists the k-subsets as ascending bitmasks.  Step k (k = 1 .. p-1)
-    is a pair of int32 arrays over the pairs (subset r of layer k, vertex v
-    not in r): the flat index r * p + v into the step's ``prod`` and the
-    flat index r' * p + v into layer k+1, where r' = r with v added.  The
-    arrays are read-only; ``_cached_layer_steps`` shares them between calls.
-    """
-    masks = np.arange(1 << p, dtype=np.int32)
-    sizes = sum(masks >> b & 1 for b in range(p))
-    layers = [np.flatnonzero(sizes == k).astype(np.int32) for k in range(p + 1)]
-    rank = np.empty_like(masks)  # position of each mask within its layer
-    for layer in layers:
-        rank[layer] = np.arange(len(layer), dtype=np.int32)
-    bit = (1 << np.arange(p)).astype(np.int32)
+    elems = np.arange(p)[:, None]  # the vertices of each subset of the layer
+    drop = np.zeros((p, 1), dtype=np.intp)  # rank of the subset less each vertex
     steps = []
-    for layer in layers[1:p]:
-        src, v = np.nonzero(layer[:, None] & bit == 0)
-        dst = rank[layer[src] | bit[v]]
-        steps.append(((src * p + v).astype(np.int32), dst * p + v.astype(np.int32)))
-    for arr in chain.from_iterable(steps):
-        arr.flags.writeable = False  # shared by every caller
-    return tuple(steps)
+    for k in range(1, stop):
+        sizes = [math.comb(c, k) for c in range(k, p)]
+        low = np.arange(math.comb(p, k + 1)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        elems = np.column_stack((elems[low], np.repeat(np.arange(k, p), sizes)))
+        drop = np.column_stack((np.repeat(sizes, sizes)[:, None] + drop[low], low))
+        rows = np.arange(len(low))[:, None]
+        steps.append(((drop * p + elems).ravel(), (rows * p + elems).ravel()))
+    return steps
 
 
-_cached_layer_steps = lru_cache(maxsize=None)(_layer_steps)
+def _path_layer(start: np.ndarray, inner: np.ndarray, steps: list, t: int) -> np.ndarray:
+    """Weighted paths from an anchor over the subsets of range(t), at the last layer of ``steps``.
+
+    ``start`` (p, batch) holds the anchor's weights to the vertices 0 .. p-1
+    and ``inner`` (p, p, batch) the weights among them.  Bellman / Held-Karp
+    subset DP: dp[r, v] sums the paths from the anchor through exactly the
+    vertex set r that end at v, with dp[{v}, v] = start[v].  A step computes
+    prod[r, v] = sum over u < t of dp[r, u] * inner[u, v] for a whole layer,
+    one multiply and one add per u, and moves the entries with v not in r
+    to dp[r + {v}, v] of the next layer.  The dtype is that of ``start``.
+    """
+    p, batch = start.shape
+    dp = np.zeros((t, p, batch), dtype=start.dtype)
+    dp[range(t), range(t)] = start[:t]
+    for k, (src, dst) in enumerate(steps, start=1):
+        size = (k + 1) * math.comb(t, k + 1)
+        prod = dp[:, 0, None] * inner[0]
+        tmp = np.empty_like(prod)
+        for u in range(1, t):
+            prod += np.multiply(dp[:, u, None], inner[u], out=tmp)
+        moved = tmp.reshape(-1, batch)[:size]  # tmp is free: gather into it
+        np.take(prod.reshape(-1, batch), src[:size], axis=0, out=moved, mode="clip")
+        dp = np.zeros((math.comb(t, k + 1), p, batch), dtype=start.dtype)
+        dp.reshape(-1, batch)[dst[:size]] = moved
+    return dp
 
 
 def cycle_sum(w: np.ndarray) -> np.ndarray:
@@ -277,74 +278,18 @@ def cycle_sum(w: np.ndarray) -> np.ndarray:
     ``w`` has shape (m, m, batch): a batch of m x m weight matrices with
     entries in {-1, 0, 1}, batch on the last axis.  Each directed cycle
     0 -> v1 -> ... -> v_{m-1} -> 0 contributes the product of its m weights;
-    the result is int64[batch].  Bellman / Held-Karp subset DP, one popcount
-    layer at a time: dp[r, v] sums the paths from 0 that visit exactly the
-    vertex set r of {1, ..., m-1} and end at v (zero for v not in r), with
-    dp[{v}, v] = w[0, v].  A step from the k-subsets to the (k+1)-subsets
-    computes, for all of layer k at once,
-
-        prod[r, v] = sum over u of dp[r, u] * w[u, v]
-
-    with one multiply and one in-place add per u, and then scatters the
-    entries with v not in r to dp[r + {v}, v] through ``_layer_steps``.
-    Only two layers are held, so a batch needs O(m * binom(m-1, (m-1)/2))
-    entries per matrix, and a batch costs about m^2 numpy calls.  The DP
-    runs in the dtype of ``_dp_dtype``; the final sum over v is int64.  For
-    a 0/1 tournament adjacency this counts its directed Hamiltonian cycles,
-    each once since the anchor fixes the rotation; for a skew sign matrix
-    it is the cyclic index divided by m.
+    the result is int64[batch].  This is ``_path_layer`` from vertex 0 run
+    to the full layer and closed back to 0, in the dtype of ``_dp_dtype``.
+    For a 0/1 tournament adjacency it counts the directed Hamiltonian
+    cycles, each once since the anchor fixes the rotation; for a skew sign
+    matrix it is the cyclic index divided by m.
     """
     m = w.shape[0]
-    dtype = _dp_dtype(m)
-    w = np.ascontiguousarray(w, dtype=dtype)
-    batch, p = w.shape[2], m - 1
-    if p == 0:
-        return np.zeros(batch, dtype=np.int64)
-    inner = w[1:, 1:]
-    dp = np.zeros((p, p, batch), dtype=dtype)
-    dp[np.arange(p), np.arange(p)] = w[0, 1:]
-    steps = _cached_layer_steps(p) if p <= _CACHED_STEPS_P else _layer_steps(p)
-    for k, (src, dst) in enumerate(steps, start=1):
-        prod = np.empty_like(dp)
-        tmp = np.empty_like(dp)
-        np.multiply(dp[:, 0, None], inner[0], out=prod)
-        for u in range(1, p):
-            np.multiply(dp[:, u, None], inner[u], out=tmp)
-            prod += tmp
-        moved = tmp.reshape(-1, batch)[: len(src)]  # tmp is free: gather into it
-        np.take(prod.reshape(-1, batch), src, axis=0, out=moved, mode="clip")
-        dp = np.zeros((math.comb(p, k + 1), p, batch), dtype=dtype)
-        dp.reshape(-1, batch)[dst] = moved
+    w = np.ascontiguousarray(w, dtype=_dp_dtype(m))
+    if m == 1:
+        return np.zeros(w.shape[2], dtype=np.int64)
+    dp = _path_layer(w[0, 1:], w[1:, 1:], _layer_steps(m - 1, m - 1), m - 1)
     return (dp[0].astype(np.int64) * w[1:, 0]).sum(axis=0)
-
-
-def _count_range(job: tuple[np.ndarray, int, int, int]) -> int:
-    """Cycles of the given length on the l-subsets lo..hi-1 in lexicographic order."""
-    adj, length, lo, hi = job
-    subsets = islice(combinations(range(len(adj)), length), lo, hi)
-    width = cycle_sum_width(length, COUNT_DP_BYTES)
-    total = 0
-    # subsets stream straight into an index array: a list of per-subset
-    # tuples would be the largest temporary of a count
-    while (flat := np.fromiter(chain.from_iterable(islice(subsets, width)), np.intp)).size:
-        idx = flat.reshape(-1, length).T  # idx[a, s] is the a-th vertex of subset s
-        total += int(cycle_sum(adj[idx[:, None, :], idx[None, :, :]]).sum())
-    return total
-
-
-def pool_map(fn, jobs: list, workers: int):
-    """Yield fn(job) for every job, in job order.
-
-    Runs inline when ``workers`` is 1 or there is at most one job, and in a
-    fork pool of ``workers`` processes otherwise.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(jobs) <= 1:
-        yield from map(fn, jobs)
-        return
-    with get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(fn, jobs)
 
 
 def _path_partitions(length: int):
@@ -439,39 +384,53 @@ def _trace_cycle_count(t: Tournament, length: int) -> int:
     return total // length
 
 
+def _count_bytes(n: int, length: int) -> int:
+    """Estimated peak bytes of the anchored l-cycle count on n vertices.
+
+    Over the p = n-1 lower vertices, step k <= l-2 keeps 2 * (k+1) *
+    binom(p, k+1) int64 indices (every step's are held, and building the
+    last takes as much again) and holds dp, its product and a buffer
+    (binom(p, k) * p entries each) and the next layer.
+    """
+    p, item = n - 1, np.dtype(_dp_dtype(length)).itemsize
+    ks = range(1, length - 1)
+    tables = [16 * (k + 1) * math.comb(p, k + 1) for k in ks]
+    steps = [(3 * math.comb(p, k) + math.comb(p, k + 1)) * p for k in ks]
+    return sum(tables) + tables[-1] + max(steps) * item
+
+
 def exact_cycle_count(t: Tournament, length: int) -> int:
     """Exact number of directed cycles of the given length in ``t``.
 
-    Lengths 3 to 8 are closed-walk counts (``_trace_cycle_count``): tr(A^l)
-    less the walks that repeat a vertex, as a few matrix contractions.
-    Longer cycles go through the subset DP of ``cycle_sum``.
-    """
-    return pooled_cycle_count(t, length, 1)
-
-
-def pooled_cycle_count(t: Tournament, length: int, workers: int) -> int:
-    """``exact_cycle_count`` with the l-subsets split into ``workers`` contiguous ranges.
-
-    Each range is counted by one worker of ``pool_map``; the integer sum
-    does not depend on the split.  Lengths up to 8 take the closed-walk
-    form and need neither subsets nor workers; longer ones keep the DP,
-    since the closed-walk terms multiply with l (40 at l = 9).
+    Lengths 3 to 8 are closed-walk counts (``_trace_cycle_count``).  A
+    longer cycle is counted once, at its highest vertex h: ``_path_layer``
+    from h over the subsets of range(h), stopped at layer l-1 and closed
+    back to h, summed over h.  One set of index tables, built for range(n-1),
+    serves every h as prefixes.  A count whose ``_count_bytes`` estimate
+    exceeds ``COUNT_MAX_BYTES`` is refused before the adjacency is built.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if length > t.n:
         return 0
     if length <= 8:
         return _trace_cycle_count(t, length)
-    adj = t.adjacency().astype(np.int8)  # keeps the subset gathers small
-    total = math.comb(t.n, length)
-    jobs = [
-        (adj, length, total * k // workers, total * (k + 1) // workers)
-        for k in range(workers)
-    ]
-    return sum(pool_map(_count_range, jobs, workers))
+    if length > 21:
+        raise ValueError(f"cycle length must be <= 21, got {length}")
+    need = _count_bytes(t.n, length)
+    if need > COUNT_MAX_BYTES:
+        raise ValueError(
+            f"counting {length}-cycles at n={t.n} needs about {need / 2**20:,.0f} MiB, "
+            f"over the {COUNT_MAX_BYTES >> 20} MiB limit"
+        )
+    a = t.adjacency().astype(_dp_dtype(length))[:, :, None]
+    p = t.n - 1
+    steps = _layer_steps(p, length - 1)
+    total = 0
+    for top in range(length - 1, t.n):
+        dp = _path_layer(a[top, :p], a[:p, :p], steps, top)
+        total += int((dp[..., 0] @ a[:p, top, 0]).sum(dtype=np.int64))
+    return total
 
 
 def goodman_count3(t: Tournament) -> int:

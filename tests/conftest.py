@@ -6,8 +6,8 @@ types are matched by explicit isomorphism search, canonical forms and
 slice orbits are read off every relabelling and flip vector, and the
 conjectured constants are summed from their defining series, so they can
 vouch for the faster paths.  ``dp_cycle_count`` is the one helper that runs
-a library algorithm: it keeps the subset DP under test at the cycle lengths
-l <= 8, which ``exact_cycle_count`` answers as closed-walk counts.
+a library algorithm, ``cycle_sum`` on every l-subset: a second route to the
+closed-walk counts at l <= 8 and to the anchored counts at l >= 9.
 """
 
 from __future__ import annotations

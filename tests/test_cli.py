@@ -44,8 +44,8 @@ class TestCount:
         assert json.loads(base[1])["count"] == json.loads(multi[1])["count"] == 9350
 
     def test_workers_split_uneven_ranges(self):
-        # 55 subsets do not split evenly over 4 workers; unlike the carousel,
-        # this tournament has cycles among the last subsets
+        # --workers leaves the count unchanged; unlike the carousel, this
+        # tournament has cycles through every highest vertex
         args = ("count", "--random", "11", "--seed", "3", "--length", "9")
         base = run_cli(*args)
         multi = run_cli(*args, "--workers", "4")
@@ -54,6 +54,15 @@ class TestCount:
     def test_zero_workers_is_usage_error(self):
         code, out, err = run_cli("count", "--random", "8", "--workers", "0")
         assert code == EXIT_USAGE and out == "" and "workers" in err
+
+    def test_too_large_count_is_usage_error(self):
+        code, out, err = run_cli("count", "--random", "40", "--length", "9")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: counting 9-cycles at n=40 needs about") and "MiB" in err
+
+    def test_length_above_21_is_usage_error(self):
+        code, out, err = run_cli("count", "--random", "22", "--length", "22")
+        assert code == EXIT_USAGE and out == "" and "must be <= 21" in err
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourcycles import signsearch, tournaments
+from tourcycles import signsearch
 from tourcycles.signsearch import (
     CERTIFIED,
     SkewSignMatrix,
@@ -459,8 +460,7 @@ class TestSearch:
         def no_process(*args, **kwargs):
             raise AssertionError("the search started a process")
 
-        monkeypatch.setattr(tournaments, "pool_map", no_process)
-        monkeypatch.setattr(tournaments, "get_context", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
         monkeypatch.setattr(multiprocessing, "get_context", no_process)
         got8 = search_max_cyclic_index(8, workers=2)
         got4 = search_max_cyclic_index(4, workers=4, **full)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourcycles import tournaments
 from tourcycles.tournaments import (
-    COUNT_DP_BYTES,
+    COUNT_MAX_BYTES,
     DegreeSequence,
     Tournament,
     _dp_dtype,
@@ -24,7 +24,6 @@ from tourcycles.tournaments import (
     make_transitive,
     normalized_density,
     parse_tournament,
-    pooled_cycle_count,
     sample_random,
     sample_w_random,
 )
@@ -217,8 +216,8 @@ class TestCycleSum:
         assert peak < 1 << 20
 
     def test_large_step_tables_not_retained(self):
-        # order 18 builds the 17-vertex step table (about 9 MB of indices);
-        # beyond 16 vertices it is dropped with the call, not cached
+        # order 18 builds the 17-vertex step tables (about 18 MB of indices);
+        # no table is cached, so they go with the call
         m = 18
         w = (np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8))[:, :, None]
         tracemalloc.start()
@@ -298,21 +297,17 @@ class TestTraceForm:
         with pytest.raises(LookupError):  # one vertex fewer passes the check
             exact_cycle_count(_OrderOnly(n - 1), length)
 
-    def test_lengths_up_to_eight_start_no_pool(self, monkeypatch):
-        def no_pool(*args):
-            raise AssertionError("pool_map called")
+    def test_counts_start_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("the count started a process")
 
-        monkeypatch.setattr(tournaments, "pool_map", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         t = sample_random(12, seed=4)
-        for length in range(3, 9):
-            assert pooled_cycle_count(t, length, 4) == dp_cycle_count(t, length)
-
-    def test_zero_workers_refused(self):
-        with pytest.raises(ValueError):
-            pooled_cycle_count(make_carousel(5), 3, 0)
+        for length in range(3, 13):
+            assert exact_cycle_count(t, length) == dp_cycle_count(t, length)
 
     def test_layered_dp_memory(self):
-        # n=14, l=9: 2 002 subsets in 17 batches, each bounded by COUNT_DP_BYTES
+        # n=14, l=9: one anchored DP per highest vertex 8 .. 13
         t = sample_random(14, seed=1)
         tracemalloc.start()
         try:
@@ -321,8 +316,50 @@ class TestTraceForm:
         finally:
             tracemalloc.stop()
         assert count == 165_278
-        assert peak < 2 * COUNT_DP_BYTES
+        assert peak < 1 << 21
 
+
+class TestAnchoredCount:
+    @pytest.mark.parametrize("n, length", [(9, 9), (10, 9), (10, 10)])
+    def test_matches_arrangement_oracle(self, n, length):
+        t = sample_random(n, seed=300 + n + length)
+        assert exact_cycle_count(t, length) == brute_cycle_count(t, length) > 0
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_matches_subset_dp(self, n):
+        t = sample_random(n, seed=400 + n)
+        for length in range(9, min(n, 12) + 1):
+            assert exact_cycle_count(t, length) == dp_cycle_count(t, length) > 0
+
+    def test_transitive_has_none(self):
+        assert all(exact_cycle_count(make_transitive(12), ln) == 0 for ln in range(9, 13))
+
+    @pytest.mark.parametrize("length", [9, 10])
+    def test_reversal_preserves_count(self, length):
+        t = sample_random(13, seed=length)
+        assert exact_cycle_count(t, length) == exact_cycle_count(t.reverse(), length)
+
+    def test_too_large_refused_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MiB") as err:
+                exact_cycle_count(_OrderOnly(40), 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert f"{COUNT_MAX_BYTES >> 20} MiB limit" in str(err.value)
+
+    @pytest.mark.parametrize("length", [9, 10, 11, 12])
+    def test_budget_admits_order_18(self, length):
+        with pytest.raises(LookupError):  # passes the check, then builds
+            exact_cycle_count(_OrderOnly(18), length)
+
+    def test_budget_refuses_order_64(self):
+        # the budget alone bounds the order: below 64 vertices at every length
+        for length in range(9, 22):
+            with pytest.raises(ValueError, match="MiB"):
+                exact_cycle_count(_OrderOnly(64), length)
 
 
 class TestGoodman:
