@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's algorithms: cycles and
 weighted cycle sums are found by enumerating cyclic arrangements, 4-vertex
 types are matched by explicit isomorphism search, canonical forms and
-slice orbits are read off every relabelling and flip vector, and the
+slice orbits are read off every relabelling and flip vector (at orders 7
+and 8, off every relabelled root switch packed with Python ints), and the
 conjectured constants are summed from their defining series, so they can
 vouch for the faster paths.  ``dp_cycle_count`` is the one helper that runs
 a library algorithm, ``cycle_sum`` on every l-subset: a second route to the
@@ -124,6 +125,31 @@ def brute_slice_masks(a: np.ndarray) -> list[int]:
     first = iu == 0
     kept = copies[np.all(copies[:, first] > 0, axis=1)][:, ~first]
     return sorted({sum(1 << t for t, x in enumerate(row) if x > 0) for row in kept})
+
+
+def gather_orbit(a: np.ndarray) -> tuple[int, list[int]]:
+    """Canonical bits and sorted slice masks from every relabelled root switch, n >= 3.
+
+    Root p's switch M_p[u, v] = a[p, u] a[p, v] a[u, v] on the other n - 1
+    vertices is relabelled by each (n-1)! permutation q through one int8
+    gather of M_p[q(i), q(j)], i < j.  Each relabelled upper triangle is
+    read as a binary numeral by ``int``: first pair most significant for
+    the ``SkewSignMatrix`` bits (the first row, -1 in the smallest member,
+    adds no bit), first pair least significant for the slice mask.  No
+    fixed-width arithmetic touches a code, so it reaches order 8 exactly.
+    """
+    a = np.asarray(a, dtype=np.int8)
+    n = len(a)
+    perms = np.array(list(permutations(range(n - 1))))
+    iu, ju = np.triu_indices(n - 1, 1)
+    m = len(iu)
+    text = b""
+    for p in range(n):
+        rest = [u for u in range(n) if u != p]
+        switch = a[p, rest][:, None] * a[p, rest][None, :] * a[np.ix_(rest, rest)]
+        text += ((switch[perms[:, iu], perms[:, ju]] > 0) + ord("0")).astype(np.uint8).tobytes()
+    numerals = [text[k : k + m] for k in range(0, len(text), m)]
+    return min(int(r, 2) for r in numerals), sorted({int(r[::-1], 2) for r in numerals})
 
 
 # pi to 50 places, rounded up, so it lies above pi and (2/pi)^l keeps full

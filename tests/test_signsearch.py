@@ -31,7 +31,7 @@ from tourcycles.signsearch import (
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
-from conftest import brute_canonical_bits, brute_slice_masks
+from conftest import brute_canonical_bits, brute_slice_masks, gather_orbit
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -299,14 +299,14 @@ class TestCanonicalForm:
 
     def test_order8_classification_builds_one_stack_per_class(self, monkeypatch):
         calls = []
-        real = signsearch._relabelled_triangles
+        real = signsearch._switch_codes
 
         def counted(b):
             out = real(b)
-            calls.append(out.shape[0] * out.shape[1])
+            calls.append(out.size // 2)  # relabelled switches packed by this call
             return out
 
-        monkeypatch.setattr(signsearch, "_relabelled_triangles", counted)
+        monkeypatch.setattr(signsearch, "_switch_codes", counted)
         table = _cycle_sum_table(8, True)
         achievers = np.flatnonzero(table == table.max()).tolist()
         classes = _classify_achievers(8, achievers, True, 2176)
@@ -323,7 +323,7 @@ class TestCanonicalForm:
 
     def test_order8_orbit_memory(self):
         fx = fixtures()
-        _orbit(fx.d8)  # builds the cached relabelling index
+        _orbit(fx.d8)  # builds the cached packing weights
         tracemalloc.start()
         try:
             _orbit(fx.d8_alt)
@@ -348,6 +348,41 @@ class TestCanonicalForm:
             canon, masks = _orbit(b)
             assert masks.tolist() == brute_slice_masks(b.to_array())
             assert canon == brute_canonical_bits(b.to_array())
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_orbit_matches_gather_oracle(self, n):
+        rng = np.random.default_rng(50 + n)
+        cases = [random_sign_matrix(n, rng) for _ in range(3)]
+        if n == 8:
+            fx = fixtures()
+            cases += [fx.d8, fx.d8_alt, fx.d8_alt_blocks]
+        for b in cases:
+            canon, masks = _orbit(b)
+            assert (canon, masks.tolist()) == gather_orbit(b.to_array())
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_equivalence_agrees_with_canonical_forms(self, n):
+        rng = np.random.default_rng(60 + n)
+        m = n * (n - 1) // 2
+        pairs = []
+        for _ in range(4):
+            b = random_sign_matrix(n, rng)
+            near = SkewSignMatrix(n, b.bits ^ (1 << int(rng.integers(m))))
+            pairs += [(b, random_sign_matrix(n, rng)), (b, random_transform(b, rng)), (b, near)]
+        if n == 8:
+            fx = fixtures()
+            pairs += [(fx.d8, fx.d8_alt), (fx.d8_alt, fx.d8_alt_blocks)]
+        same = [canonical_form(x) == canonical_form(y) for x, y in pairs]
+        assert [sign_equivalent(x, y) for x, y in pairs] == same
+        assert 4 <= sum(same) < len(pairs)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_packing_weights_are_exact_in_float32(self, n):
+        _, _, w, const = signsearch._switch_packing(n)
+        assert w.dtype == const.dtype == np.float32
+        assert np.all(np.abs(w).sum(axis=0, dtype=np.float64) < 1 << 24)
+        nonzero = np.abs(w[w != 0]).astype(np.int64)
+        assert np.all((nonzero & (nonzero - 1)) == 0)  # each weight is +/-2^k
 
     def test_separates_iff_inequivalent(self):
         rng = np.random.default_rng(12)
