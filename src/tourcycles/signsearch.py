@@ -15,7 +15,8 @@ each vertex pair at most once, so Cycl is a multilinear polynomial in the
 free signs with at most (n-1)! nonzero +/-1 coefficients, one per tour
 anchored at vertex 0; its values at all 2^k sign patterns are one
 unnormalised Walsh-Hadamard transform of that coefficient vector (the
-Fourier expansion on the Boolean cube, evaluated by the fast transform).
+Fourier expansion on the Boolean cube, evaluated by the fast transform);
+the report reads that table alone, and a checkpoint is a checked copy.
 ``cyclic_index_fast`` keeps the subset DP of ``tournaments.cycle_sum`` and
 ``cyclic_index_def`` the literal permutation sum; both re-check the
 search's answers independently.
@@ -207,7 +208,7 @@ def _switch_packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return u, v, w, const
 
 
-def _switch_codes(b: SkewSignMatrix) -> np.ndarray:
+def _switch_codes(b: SkewSignMatrix, roots=slice(None), cols=slice(None)) -> np.ndarray:
     """Packed codes of every relabelled root switch, int32 of shape (n, 2 (n-1)!).
 
     Root p's switch M_p[u, v] = A[p, u] A[p, v] A[u, v] lives on the n - 1
@@ -217,13 +218,14 @@ def _switch_codes(b: SkewSignMatrix) -> np.ndarray:
     product of the n upper triangles with ``_switch_packing``'s weights, by
     ``einsum``'s single-threaded loop: a threaded BLAS sgemm of this size
     (8 x 21 x 10 080) waited about 8 ms for its second thread in most fresh
-    processes on a 2-vCPU x86_64 VM, against 0.3-0.4 ms here.
+    processes on a 2-vCPU x86_64 VM, against 0.3-0.4 ms here.  The slices
+    ``roots`` and ``cols`` pack only those rows and columns.
     """
     u, v, w, const = _switch_packing(b.n)
     a = b.to_array()
-    p = np.arange(b.n)[:, None]
+    p, u, v = np.arange(b.n)[roots, None], u[roots], v[roots]
     x = (a[p, u] * a[p, v] * a[u, v] > 0).astype(np.float32)
-    return (np.einsum("pt,tc->pc", x, w) + const).astype(np.int32)
+    return (np.einsum("pt,tc->pc", x, w[:, cols]) + const[cols]).astype(np.int32)
 
 
 def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
@@ -244,13 +246,14 @@ def sign_equivalent(b1: SkewSignMatrix, b2: SkewSignMatrix) -> bool:
     b2's root-0 switch under the identity relabelling must be one of b1's
     n! relabelled root switches (see ``_orbit``), so its packed bits are
     looked up among b1's: a scan of n! codes rather than n! * 2^n matrices.
+    Only b1's bits columns and b2's identity root-0 code are packed.
     """
     if b1.n != b2.n:
         raise ValueError(f"order mismatch: {b1.n} vs {b2.n}")
     if b1.n > ORACLE_MAX_ORDER:
         raise ValueError(f"sign-equivalence scan limited to order {ORACLE_MAX_ORDER}")
-    bits = _switch_codes(b1)[:, : math.factorial(b1.n - 1)]
-    return bool(np.any(bits == _switch_codes(b2)[0, 0]))
+    bits = _switch_codes(b1, cols=slice(math.factorial(b1.n - 1)))
+    return bool(np.any(bits == _switch_codes(b2, slice(1), slice(1))[0, 0]))
 
 
 def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
@@ -457,29 +460,13 @@ def _scan_chunk(n: int, restrict: bool, lo: int, hi: int) -> dict:
     }
 
 
-def _valid_chunk(rec, lo: int, hi: int) -> bool:
-    """Whether a checkpoint record has int max and min and increasing achievers in [lo, hi)."""
-    if not (
-        isinstance(rec, dict)
-        and type(rec.get("max")) is int
-        and type(rec.get("min")) is int
-        and isinstance(rec.get("achievers"), list)
-        and all(type(a) is int for a in rec["achievers"])
-    ):
-        return False
-    try:
-        ach = np.array(rec["achievers"], dtype=np.int64)
-    except OverflowError:
-        return False
-    return not ach.size or bool(lo <= ach[0] and ach[-1] < hi and np.all(ach[1:] > ach[:-1]))
-
-
 def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
-    """Finished chunks recorded in a checkpoint, after checking every field the merge reads.
+    """Finished chunks recorded in a checkpoint, each replaced by the table's own record.
 
-    Keys must be the aligned chunk starts str(lo), 0 <= lo < total, and each
-    record needs int ``max`` and ``min`` and a strictly increasing list of
-    int ``achievers`` inside its chunk; anything else raises ValueError.
+    Parameters must match by value and type, keys must be the chunk starts
+    str(lo), 0 <= lo < total, and each record must equal ``_scan_chunk`` of
+    its chunk in JSON ints (8.0 and true equal 8 and 1 in Python but are
+    refused); anything else raises ValueError.  The report reads no record.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -487,20 +474,21 @@ def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
     if schema != CHECKPOINT_SCHEMA:
         raise ValueError(f"checkpoint schema {schema!r} does not match {CHECKPOINT_SCHEMA!r}")
     for key, val in params.items():
-        if data.get(key) != val:
+        if data.get(key) != val or type(data.get(key)) is not type(val):
             raise ValueError(f"checkpoint parameter {key}={data.get(key)!r} differs from {val!r}")
     chunks = data.get("chunks")
     if not isinstance(chunks, dict):
         raise ValueError("checkpoint has no 'chunks' object")
-    step = params["chunk_size"]
+    n, restrict, step = params["order"], params["restrict_first_row"], params["chunk_size"]
     for key, rec in chunks.items():
         lo = int(key) if key.isdecimal() else -1
         if str(lo) != key or lo % step or lo >= total:
             raise ValueError(f"checkpoint chunk key {key!r} is not a chunk start")
-        if not _valid_chunk(rec, lo, min(lo + step, total)):
-            raise ValueError(
-                f"checkpoint chunk {key} needs int max, min and increasing in-chunk achievers"
-            )
+        want = chunks[key] = _scan_chunk(n, restrict, lo, min(lo + step, total))
+        if rec != want or any(
+            type(x) is not int for x in (rec["max"], rec["min"], *rec["achievers"])
+        ):
+            raise ValueError(f"checkpoint chunk {key} differs from the cyclic-index table")
     return chunks
 
 
@@ -515,13 +503,13 @@ def search_max_cyclic_index(
 
     With ``restrict_first_row`` the enumeration covers matrices whose first
     row is +1 (one representative set per class); the full enumeration is
-    supported at order 4 as an independent cross-check.  Every value is a
-    slice of one cached table, so the chunks of the mask space are scanned
-    in this process whatever ``workers`` is (it must be >= 1; no pool is
-    started) and merged in start order, so the report does not depend on
-    the worker count.  A checkpoint file, when given, is rewritten after
-    each finished chunk and allows resume; each chunk's JSON text is
-    encoded once and reused by every later write.
+    supported at order 4 as an independent cross-check.  The report is the
+    max, min and maximizers of one cached table, read in this process
+    whatever ``workers`` is (it must be >= 1; no pool is started).  With
+    ``checkpoint_path`` the table is also written in ``chunk_size`` chunks,
+    the file replaced (``.tmp`` and rename) after each new one, and a resume
+    checks every loaded chunk against the table (ValueError if it differs),
+    so it cannot change the report.
     """
     if order not in (4, 8):
         raise ValueError(f"search supports orders 4 and 8, got {order}")
@@ -529,50 +517,42 @@ def search_max_cyclic_index(
         raise ValueError("full (unrestricted) enumeration is only supported at order 4")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.time()
-    nbits = len(_free_pairs(order, restrict_first_row))
-    total = 1 << nbits
-    chunk_size = min(chunk_size, total)
-    params = {
-        "order": order,
-        "restrict_first_row": restrict_first_row,
-        "chunk_size": chunk_size,
-    }
-    done: dict[str, dict] = {}
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        done = _load_checkpoint(checkpoint_path, params, total)
-
-    starts = range(0, total, chunk_size)
-    pending = [lo for lo in starts if str(lo) not in done]
-    # the file is json.dumps(dict(params, schema=..., chunks=done)): its head
-    # up to the chunks' opening brace, then one '"lo": record' text per chunk
-    # (the keys are decimal, so quoting them is their JSON encoding)
-    head = json.dumps(dict(params, schema=CHECKPOINT_SCHEMA, chunks={}))[:-2]
-    encoded = [f'"{key}": {json.dumps(rec)}' for key, rec in done.items()] if pending else []
-    for lo in pending:
-        rec = done[str(lo)] = _scan_chunk(order, restrict_first_row, lo, min(lo + chunk_size, total))
-        if checkpoint_path:
+    table = _cycle_sum_table(order, restrict_first_row)
+    total = len(table)
+    if checkpoint_path:
+        step = min(chunk_size, total)
+        params = {"order": order, "restrict_first_row": restrict_first_row, "chunk_size": step}
+        done = {}
+        if os.path.exists(checkpoint_path):
+            done = _load_checkpoint(checkpoint_path, params, total)
+        pending = [lo for lo in range(0, total, step) if str(lo) not in done]
+        # the file is json.dumps(dict(params, schema=..., chunks=done)): its head
+        # up to the chunks' opening brace, then one '"lo": record' text per chunk
+        # (the keys are decimal, so quoting them is their JSON encoding)
+        head = json.dumps(dict(params, schema=CHECKPOINT_SCHEMA, chunks={}))[:-2]
+        encoded = [f'"{key}": {json.dumps(rec)}' for key, rec in done.items()] if pending else []
+        for lo in pending:
+            rec = _scan_chunk(order, restrict_first_row, lo, min(lo + step, total))
             encoded.append(f'"{lo}": {json.dumps(rec)}')
             tmp_path = checkpoint_path + ".tmp"
             with open(tmp_path, "w") as fh:
                 fh.write(head + ", ".join(encoded) + "}}")
             os.replace(tmp_path, checkpoint_path)
 
-    gmax = max(c["max"] for c in done.values())
-    gmin = min(c["min"] for c in done.values())
-    # chunks are ascending disjoint ranges with strictly increasing lists,
-    # so concatenating them in start order gives the sorted achievers
-    achievers = list(itertools.chain.from_iterable(
-        done[str(lo)]["achievers"] for lo in starts if done[str(lo)]["max"] == gmax
-    ))
-
-    classes = _classify_achievers(order, achievers, restrict_first_row, gmax)
+    best = table.max()
+    # compared in 2^16-mask slices, so no table-sized boolean temporary exists
+    hits = [np.flatnonzero(table[lo : lo + 65536] == best) + lo for lo in range(0, total, 65536)]
+    achievers = np.concatenate(hits)
+    gmax = order * int(best)
     return SearchReport(
         order=order,
         max_cyclic_index=gmax,
-        min_cyclic_index=gmin,
+        min_cyclic_index=order * int(table.min()),
         achiever_count=len(achievers),
-        achiever_classes=tuple(classes),
+        achiever_classes=tuple(_classify_achievers(order, achievers, restrict_first_row, gmax)),
         matrices_scanned=total,
         elapsed_seconds=time.time() - t0,
         restricted_first_row=restrict_first_row,
@@ -580,9 +560,9 @@ def search_max_cyclic_index(
 
 
 def _classify_achievers(
-    order: int, achievers: list[int], restrict: bool, gmax: int
+    order: int, achievers: np.ndarray | list[int], restrict: bool, gmax: int
 ) -> list[SkewSignMatrix]:
-    """Bucket the sorted achiever masks by canonical form.
+    """Bucket the sorted achiever masks (the search's int64 array, or a list) by class.
 
     In the restricted slice one packing product of one member (``_orbit``)
     yields both the canonical form and the masks of every slice member of

@@ -193,16 +193,27 @@ class TestVerifyLemma:
             lambda d: d["chunks"]["0"]["achievers"].reverse(),
             lambda d: d["chunks"]["0"]["achievers"].insert(0, 0),
             lambda d: d["chunks"]["0"]["achievers"].append(2**70),
+            # well-formed records that differ from the table
+            lambda d: d["chunks"]["0"].update(min=-99999),
+            lambda d: d["chunks"]["0"]["achievers"].pop(),
+            lambda d: d["chunks"]["0"].update(max=d["chunks"]["0"]["max"] + 4),
+            # equal to the table by Python's ==, but not JSON ints
+            lambda d: d["chunks"]["0"].update(max=8.0),
+            lambda d: d["chunks"]["0"]["achievers"].__setitem__(1, True),
+            lambda d: d.update(chunk_size=8.0),
+            lambda d: d.update(restrict_first_row=1),
         ],
         ids=[
             "no-chunks", "chunks-not-object", "unaligned-key", "key-past-end",
             "padded-key", "no-achievers", "max-not-int", "min-not-int",
             "achiever-outside-chunk", "achievers-descending", "achiever-repeated",
-            "achiever-huge",
+            "achiever-huge", "min-wrong", "achiever-dropped", "max-raised",
+            "max-float", "achiever-true", "chunk-size-float", "restrict-as-int",
         ],
     )
     def test_corrupt_checkpoint_is_usage_error(self, tmp_path, corrupt):
-        # order 4, restricted: 8 matrices in the one chunk "0"
+        # order 4, restricted: 8 matrices in the one chunk "0", max 8,
+        # achievers [0, 1, 3, 4, 6, 7]
         path = tmp_path / "ck.json"
         assert run_cli("verify-lemma", "--order", "4", "--checkpoint", str(path))[0] == EXIT_OK
         data = json.loads(path.read_text())

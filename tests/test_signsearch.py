@@ -239,6 +239,25 @@ class TestSignEquivalence:
     def test_distinct_values_never_equivalent(self):
         assert not sign_equivalent(dominant_sign(4), RIGHT_MATRIX_4)
 
+    def test_packs_bits_of_b1_and_one_code_of_b2(self, monkeypatch):
+        fx = fixtures()
+        calls = []
+        real = signsearch._switch_codes
+
+        def counted(b, *slices, **named):
+            out = real(b, *slices, **named)
+            calls.append((b, out.shape))
+            return out
+
+        monkeypatch.setattr(signsearch, "_switch_codes", counted)
+        assert sign_equivalent(fx.d8_alt, fx.d8_alt_blocks)
+        assert not sign_equivalent(fx.d8, fx.d8_alt)
+        # b1: the 8 x 5 040 bits codes, no slice mask; b2: its identity root-0 code alone
+        assert calls == [
+            (fx.d8_alt, (8, 5040)), (fx.d8_alt_blocks, (1, 1)),
+            (fx.d8, (8, 5040)), (fx.d8_alt, (1, 1)),
+        ]
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_brute_oracle(self, n):
         rng = np.random.default_rng(30 + n)
@@ -486,6 +505,33 @@ class TestSearch:
         with pytest.raises(ValueError, match="chunk_size"):
             search_max_cyclic_index(4, chunk_size=4, checkpoint_path=path)
 
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_refused(self, tmp_path, chunk_size):
+        path = tmp_path / "ck.json"
+        for checkpoint in (None, str(path)):
+            with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+                search_max_cyclic_index(4, chunk_size=chunk_size, checkpoint_path=checkpoint)
+        assert not path.exists()
+
+    def test_order8_edited_chunk_refused_and_clean_resume_matches_golden(self, tmp_path):
+        path = tmp_path / "ck.json"
+        search_max_cyclic_index(8, checkpoint_path=str(path))
+        text = path.read_text()
+        edited = json.loads(text)
+        edited["chunks"]["65536"]["min"] -= 8
+        path.write_text(json.dumps(edited))
+        with pytest.raises(ValueError, match="chunk 65536 differs"):
+            search_max_cyclic_index(8, checkpoint_path=str(path))
+        # a clean prefix of ten chunks resumes to the golden report and the same file
+        prefix = json.loads(text)
+        for key in list(prefix["chunks"])[10:]:
+            del prefix["chunks"][key]
+        path.write_text(json.dumps(prefix))
+        report = search_max_cyclic_index(8, checkpoint_path=str(path)).to_json_dict(False)
+        golden = Path(__file__).parent / "golden" / "verify-lemma-order8.json"
+        assert json.dumps(dict(report, confirmed=True), indent=2) + "\n" == golden.read_text()
+        assert path.read_text() == text
 
     def test_search_starts_no_process(self, monkeypatch):
         want8 = search_max_cyclic_index(8).to_json_dict(include_elapsed=False)
