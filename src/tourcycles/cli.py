@@ -300,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lemma", help="exhaustive cyclic-index maximum check")
     p.add_argument("--order", type=int, choices=(4, 8), required=True)
     _add_workers(p)
-    p.add_argument("--checkpoint", help="checkpoint file for resume")
+    p.add_argument(
+        "--checkpoint",
+        help="checkpoint file for resume; written once per run, after the scan or when "
+        "it is interrupted (a kill by SIGKILL during the scan keeps the old file)",
+    )
     p.add_argument("--full", action="store_true", help="enumerate all matrices (order 4)")
     p.add_argument(
         "--strip-elapsed", action="store_true", help="omit timing from the report"

@@ -485,8 +485,8 @@ def _load_checkpoint(path: str, params: dict, total: int) -> dict[str, dict]:
         if str(lo) != key or lo % step or lo >= total:
             raise ValueError(f"checkpoint chunk key {key!r} is not a chunk start")
         want = chunks[key] = _scan_chunk(n, restrict, lo, min(lo + step, total))
-        if rec != want or any(
-            type(x) is not int for x in (rec["max"], rec["min"], *rec["achievers"])
+        if rec != want or (
+            {type(rec["max"]), type(rec["min"]), *map(type, rec["achievers"])} != {int}
         ):
             raise ValueError(f"checkpoint chunk {key} differs from the cyclic-index table")
     return chunks
@@ -506,10 +506,14 @@ def search_max_cyclic_index(
     supported at order 4 as an independent cross-check.  The report is the
     max, min and maximizers of one cached table, read in this process
     whatever ``workers`` is (it must be >= 1; no pool is started).  With
-    ``checkpoint_path`` the table is also written in ``chunk_size`` chunks,
-    the file replaced (``.tmp`` and rename) after each new one, and a resume
-    checks every loaded chunk against the table (ValueError if it differs),
-    so it cannot change the report.
+    ``checkpoint_path`` the table is also recorded in ``chunk_size`` chunks
+    and the file replaced (``.tmp`` and rename) once, after the chunk loop,
+    if it recorded a new chunk.  An exception that stops the loop
+    (KeyboardInterrupt included) still writes the chunks finished so far;
+    a signal Python cannot catch (SIGKILL) during the loop leaves the
+    previous file, or none, but never a torn one.  A resume checks every
+    loaded chunk against the table (ValueError if it differs), so it cannot
+    change the report.
     """
     if order not in (4, 8):
         raise ValueError(f"search supports orders 4 and 8, got {order}")
@@ -533,14 +537,18 @@ def search_max_cyclic_index(
         # up to the chunks' opening brace, then one '"lo": record' text per chunk
         # (the keys are decimal, so quoting them is their JSON encoding)
         head = json.dumps(dict(params, schema=CHECKPOINT_SCHEMA, chunks={}))[:-2]
-        encoded = [f'"{key}": {json.dumps(rec)}' for key, rec in done.items()] if pending else []
-        for lo in pending:
-            rec = _scan_chunk(order, restrict_first_row, lo, min(lo + step, total))
-            encoded.append(f'"{lo}": {json.dumps(rec)}')
-            tmp_path = checkpoint_path + ".tmp"
-            with open(tmp_path, "w") as fh:
-                fh.write(head + ", ".join(encoded) + "}}")
-            os.replace(tmp_path, checkpoint_path)
+        new = []
+        try:
+            for lo in pending:
+                rec = _scan_chunk(order, restrict_first_row, lo, min(lo + step, total))
+                new.append(f'"{lo}": {json.dumps(rec)}')
+        finally:
+            if new:  # one write, also when an exception stops the loop
+                old = [f'"{key}": {json.dumps(rec)}' for key, rec in done.items()]
+                tmp_path = checkpoint_path + ".tmp"
+                with open(tmp_path, "w") as fh:
+                    fh.write(head + ", ".join(old + new) + "}}")
+                os.replace(tmp_path, checkpoint_path)
 
     best = table.max()
     # compared in 2^16-mask slices, so no table-sized boolean temporary exists

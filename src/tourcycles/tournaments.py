@@ -48,6 +48,8 @@ __all__ = [
 
 # An l >= 9 cycle count whose estimated working set exceeds this is refused.
 COUNT_MAX_BYTES = 1 << 29
+# cycle_sum keeps its index tables through this order (about 180 kB at order 12).
+CYCLE_STEPS_MAX_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,16 @@ def _layer_steps(p: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return steps
 
 
+@lru_cache(maxsize=None)
+def _cycle_steps(p: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``_layer_steps(p, p)`` cached read-only, for ``cycle_sum`` at orders p + 1 <= 12."""
+    steps = tuple(_layer_steps(p, p))
+    for pair in steps:
+        for arr in pair:
+            arr.flags.writeable = False
+    return steps
+
+
 def _path_layer(start: np.ndarray, inner: np.ndarray, steps: list, t: int) -> np.ndarray:
     """Weighted paths from an anchor over the subsets of range(t), at the last layer of ``steps``.
 
@@ -282,13 +294,16 @@ def cycle_sum(w: np.ndarray) -> np.ndarray:
     to the full layer and closed back to 0, in the dtype of ``_dp_dtype``.
     For a 0/1 tournament adjacency it counts the directed Hamiltonian
     cycles, each once since the anchor fixes the rotation; for a skew sign
-    matrix it is the cyclic index divided by m.
+    matrix it is the cyclic index divided by m.  Its index tables are
+    cached, read-only, through order ``CYCLE_STEPS_MAX_ORDER``.
     """
     m = w.shape[0]
     w = np.ascontiguousarray(w, dtype=_dp_dtype(m))
     if m == 1:
         return np.zeros(w.shape[2], dtype=np.int64)
-    dp = _path_layer(w[0, 1:], w[1:, 1:], _layer_steps(m - 1, m - 1), m - 1)
+    p = m - 1
+    steps = _cycle_steps(p) if m <= CYCLE_STEPS_MAX_ORDER else _layer_steps(p, p)
+    dp = _path_layer(w[0, 1:], w[1:, 1:], steps, p)
     return (dp[0].astype(np.int64) * w[1:, 0]).sum(axis=0)
 
 

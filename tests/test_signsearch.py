@@ -598,6 +598,81 @@ class TestSearch:
         assert resumed == json.dumps(json.loads(resumed))
         assert json.loads(resumed)["chunks"] == json.loads(text)["chunks"]
 
+    def test_checkpoint_written_once_per_search(self, tmp_path, monkeypatch):
+        replace, calls = os.replace, []
+
+        def counting_replace(*args):
+            calls.append(args)
+            return replace(*args)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        path = tmp_path / "ck.json"
+        search_max_cyclic_index(8, checkpoint_path=str(path))
+        assert len(calls) == 1
+        text = path.read_text()
+        search_max_cyclic_index(8, checkpoint_path=str(path))  # nothing pending
+        assert len(calls) == 1
+        prefix = json.loads(text)
+        for key in list(prefix["chunks"])[10:]:
+            del prefix["chunks"][key]
+        path.write_text(json.dumps(prefix))
+        search_max_cyclic_index(8, checkpoint_path=str(path))
+        assert len(calls) == 2 and path.read_text() == text
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4])
+    def test_interrupted_checkpoint_written_once(self, tmp_path, monkeypatch, fail_at):
+        # order 4 full, chunk_size=16: four chunks; the fail_at-th scan dies
+        scan, replace, scans, calls = signsearch._scan_chunk, os.replace, [], []
+
+        def dying_scan(*args):
+            scans.append(args)
+            if len(scans) == fail_at:
+                raise KeyboardInterrupt
+            return scan(*args)
+
+        def counting_replace(*args):
+            calls.append(args)
+            return replace(*args)
+
+        monkeypatch.setattr(signsearch, "_scan_chunk", dying_scan)
+        monkeypatch.setattr(os, "replace", counting_replace)
+        kwargs = dict(restrict_first_row=False, chunk_size=16)
+        with pytest.raises(KeyboardInterrupt):
+            search_max_cyclic_index(4, checkpoint_path=str(tmp_path / "ck.json"), **kwargs)
+        assert len(calls) == (0 if fail_at == 1 else 1)
+
+    def test_order8_interrupted_resume_keeps_prefix_and_new_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        search_max_cyclic_index(8, checkpoint_path=str(path))
+        text = path.read_text()
+        full = json.loads(text)["chunks"]
+        keys = list(full)
+        prefix = json.loads(text)
+        for key in keys[10:]:
+            del prefix["chunks"][key]
+        path.write_text(json.dumps(prefix))
+        # the load re-scans the ten prefix chunks; the third pending scan dies
+        scan = signsearch._scan_chunk
+
+        def dying_scan(n, restrict, lo, hi):
+            if lo == int(keys[12]):
+                raise KeyboardInterrupt
+            return scan(n, restrict, lo, hi)
+
+        monkeypatch.setattr(signsearch, "_scan_chunk", dying_scan)
+        with pytest.raises(KeyboardInterrupt):
+            search_max_cyclic_index(8, checkpoint_path=str(path))
+        monkeypatch.setattr(signsearch, "_scan_chunk", scan)
+        partial = path.read_text()
+        assert partial == json.dumps(json.loads(partial))
+        chunks = json.loads(partial)["chunks"]
+        assert list(chunks) == keys[:12]
+        assert chunks == {key: full[key] for key in keys[:12]}
+        report = search_max_cyclic_index(8, checkpoint_path=str(path)).to_json_dict(False)
+        golden = Path(__file__).parent / "golden" / "verify-lemma-order8.json"
+        assert json.dumps(dict(report, confirmed=True), indent=2) + "\n" == golden.read_text()
+        assert path.read_text() == text
+
 
 class TestFixtures:
     def test_alt_first_row_all_plus(self):

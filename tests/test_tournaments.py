@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from tourcycles.tournaments import (
     COUNT_MAX_BYTES,
+    CYCLE_STEPS_MAX_ORDER,
     DegreeSequence,
     Tournament,
+    _cycle_steps,
     _dp_dtype,
     _walk_corrections,
     cycle_sum,
@@ -229,6 +231,23 @@ class TestCycleSum:
             tracemalloc.stop()
         assert total.tolist() == [math.factorial(m - 1)]
         assert after - before < 2**20
+
+    def test_small_order_step_tables_cached_read_only(self):
+        # cycle_sum reuses one read-only table set per order up to the cap;
+        # exact_cycle_count builds its own and leaves the cache alone
+        m = CYCLE_STEPS_MAX_ORDER
+        w = (np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8))[:, :, None]
+        assert cycle_sum(w).tolist() == [math.factorial(m - 1)]
+        steps = _cycle_steps(m - 1)
+        assert cycle_sum(w).tolist() == [math.factorial(m - 1)]
+        assert _cycle_steps(m - 1) is steps
+        for src, dst in steps:
+            assert not src.flags.writeable and not dst.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            steps[0][0][0] = 0
+        cached = _cycle_steps.cache_info().currsize
+        exact_cycle_count(random_tournament(11, np.random.default_rng(3)), 9)
+        assert _cycle_steps.cache_info().currsize == cached
 
 
 class _OrderOnly:
