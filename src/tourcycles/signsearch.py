@@ -77,6 +77,14 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
+@lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached read-only ``np.triu_indices(n, 1)``: the pairs of ``_pairs(n)`` as two arrays."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 @dataclass(frozen=True)
 class SkewSignMatrix:
     """Skew matrix with +/-1 off-diagonal entries, upper triangle packed as bits.
@@ -106,7 +114,7 @@ class SkewSignMatrix:
     def to_array(self) -> np.ndarray:
         m = self.num_pairs
         a = np.zeros((self.n, self.n), dtype=np.int64)
-        a[np.triu_indices(self.n, 1)] = [(self.bits >> (m - 1 - t) & 1) * 2 - 1 for t in range(m)]
+        a[_triu(self.n)] = [(self.bits >> (m - 1 - t) & 1) * 2 - 1 for t in range(m)]
         return a - a.T
 
     @classmethod
@@ -120,7 +128,7 @@ class SkewSignMatrix:
         off = a[~np.eye(n, dtype=bool)]
         if np.any(np.abs(off) != 1):
             raise ValueError("off-diagonal entries must be +1 or -1")
-        plus = a[np.triu_indices(n, 1)][::-1] > 0
+        plus = a[_triu(n)][::-1] > 0
         return cls(n, sum(1 << t for t in np.flatnonzero(plus).tolist()))
 
     @classmethod
@@ -140,14 +148,38 @@ def dominant_sign(n: int) -> SkewSignMatrix:
 def cyclic_index_def(b: SkewSignMatrix) -> int:
     """Cyclic index by the literal sum over all n! permutations (oracle, n <= 8).
 
-    One int8 gather takes the n entries each permutation steps through;
-    their products are taken and summed in int64.
+    Row k of the cached step table (``_tour_steps``) holds, for every
+    permutation, the flat index of the entry its k-th step reads, so one
+    ``take`` from the int8 matrix gives the n factors of all n! terms as n
+    position-major rows.  The rows are multiplied into the first in place
+    in int8, exact because every factor is +/-1, and that row is summed in
+    int64.
     """
     if b.n > ORACLE_MAX_ORDER:
         raise ValueError(f"permutation-sum oracle limited to order {ORACLE_MAX_ORDER}")
-    perms = _all_perms(b.n)
-    steps = b.to_array().astype(np.int8)[perms, np.roll(perms, -1, axis=1)]
-    return int(steps.prod(axis=1, dtype=np.int64).sum())
+    factors = b.to_array().astype(np.int8).ravel().take(_tour_steps(b.n))
+    for row in factors[1:]:
+        factors[0] *= row
+    return int(factors[0].sum(dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _tour_steps(n: int) -> np.ndarray:
+    """Cached read-only intp table of shape (n, n!): the steps of every permutation.
+
+    Row k holds perm[k] * n + perm[(k + 1) % n], the index in A.ravel() of
+    the k-th factor of each permutation's term, in ``_all_perms`` order.
+    It is filled one row at a time from an uncached int8 permutation array,
+    so no other permutation-sized array outlives it.
+    """
+    perms = _all_perms.__wrapped__(n)
+    steps = np.empty((n, len(perms)), dtype=np.intp)
+    for k in range(n):
+        steps[k] = perms[:, k]
+        steps[k] *= n
+        steps[k] += perms[:, (k + 1) % n]
+    steps.flags.writeable = False
+    return steps
 
 
 def cyclic_index_fast(b: SkewSignMatrix) -> int:
@@ -166,7 +198,11 @@ def cyclic_index_fast(b: SkewSignMatrix) -> int:
 
 @lru_cache(maxsize=None)
 def _all_perms(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    """The n! permutations of range(n) in lexicographic order, read-only int8 of shape (n!, n)."""
+    values = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(values, dtype=np.int8, count=n * math.factorial(n)).reshape(-1, n)
+    perms.flags.writeable = False
+    return perms
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +221,7 @@ def _switch_packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     sum of a float32 product is an exact integer whatever order it is summed
     in.  w is filled one pair at a time, so no (P, m) temporary exists.
     """
-    iu, ju = np.triu_indices(n - 1, 1)
+    iu, ju = _triu(n - 1)
     rank = np.zeros((n - 1, n - 1), dtype=np.int64)
     rank[iu, ju] = rank[ju, iu] = np.arange(len(iu))
     perms = _all_perms(n - 1)
@@ -311,7 +347,7 @@ def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
     a = b.to_array()
     if restrict and np.any(a[0, 1:] != 1):
         raise ValueError("matrix is outside the first-row +1 slice")
-    upper = a[np.triu_indices(b.n, 1)]
+    upper = a[_triu(b.n)]
     return int((upper > 0) @ _pack_weights(b.n, restrict)[:, 1])
 
 
@@ -361,7 +397,7 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     if len(free) > 21:
         raise ValueError(f"cyclic-index table over 2^{len(free)} masks exceeds 2^21")
     bit = np.zeros((n, n), dtype=np.int64)
-    bit[np.triu_indices(n, 1)] = _pack_weights(n, restrict)[:, 1]
+    bit[_triu(n)] = _pack_weights(n, restrict)[:, 1]
     bit += bit.T
     sign = np.ones((n, n), dtype=np.int64)
     sign[1:, 0] = -1  # fixed first-row entries A[0, j] = +1, A[j, 0] = -1

@@ -31,7 +31,7 @@ from tourcycles.signsearch import (
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
-from conftest import brute_canonical_bits, brute_slice_masks, gather_orbit
+from conftest import brute_canonical_bits, brute_cycle_sum, brute_slice_masks, gather_orbit
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -88,6 +88,14 @@ class TestPacking:
         d = dominant_sign(5).to_array()
         assert np.all(d[np.triu_indices(5, 1)] == 1)
 
+    def test_cached_triu_indices_are_read_only(self):
+        for n in (3, 4, 8):
+            iu, ju = signsearch._triu(n)
+            assert [iu.tolist(), ju.tolist()] == [a.tolist() for a in np.triu_indices(n, 1)]
+            for arr in (iu, ju):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+
 
 class TestCyclicIndex:
     def test_every_order3_matrix_vanishes(self):
@@ -107,6 +115,26 @@ class TestCyclicIndex:
         for bits in range(1 << 6):
             b = SkewSignMatrix(4, bits)
             assert cyclic_index_fast(b) == cyclic_index_def(b)
+
+    def test_def_matches_python_oracle(self):
+        # brute_cycle_sum multiplies Python ints, so no numpy path vouches for itself
+        fx = fixtures()
+        small = [SkewSignMatrix(n, bits) for n in (2, 3, 4) for bits in range(1 << n * (n - 1) // 2)]
+        rng = np.random.default_rng(20)
+        seeded = [random_sign_matrix(n, rng) for n in (5, 6, 7) for _ in range(4)]
+        for b in small + seeded + [fx.d8, fx.d8_alt, fx.d8_alt_blocks]:
+            assert cyclic_index_def(b) == b.n * brute_cycle_sum(b.to_array())
+        assert [cyclic_index_def(b) for b in (fx.d8, fx.d8_alt, fx.d8_alt_blocks)] == [2176] * 3
+
+    def test_order8_def_keeps_only_its_step_table(self):
+        signsearch._all_perms.cache_clear()
+        signsearch._tour_steps.cache_clear()
+        assert cyclic_index_def(fixtures().d8) == 2176
+        steps = signsearch._tour_steps(8)
+        assert steps.shape == (8, 40320) and steps.dtype == np.intp
+        assert not steps.flags.writeable
+        # no cached order-8 copy of the permutations outlives the call
+        assert signsearch._all_perms.cache_info().currsize == 0
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 7), seed=st.integers(0, 2**32 - 1))
