@@ -267,6 +267,9 @@ def _path_layer(start: np.ndarray, inner: np.ndarray, steps: list, t: int) -> np
     prod[r, v] = sum over u < t of dp[r, u] * inner[u, v] for a whole layer,
     one multiply and one add per u, and moves the entries with v not in r
     to dp[r + {v}, v] of the next layer.  The dtype is that of ``start``.
+    ``np.take`` copies a non-writeable index array such as a cached
+    ``_cycle_steps`` table; a step's slice is at most 2 772 intp indices
+    (22 176 B, order 12), so that copy is left alone.
     """
     p, batch = start.shape
     dp = np.zeros((t, p, batch), dtype=start.dtype)

@@ -14,6 +14,7 @@ closed-walk counts at l <= 8 and to the anchored counts at l >= 9.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -56,6 +57,16 @@ def dp_cycle_count(t: Tournament, length: int) -> int:
     """Cycles of the given length by ``cycle_sum`` on every l-subset, in one batch."""
     subsets = np.array(list(combinations(range(t.n), length))).T
     return int(cycle_sum(t.adjacency()[subsets[:, None, :], subsets[None, :, :]]).sum())
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tournament_from_bits(n: int, bits: int) -> Tournament:

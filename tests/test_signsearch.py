@@ -31,7 +31,13 @@ from tourcycles.signsearch import (
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
-from conftest import brute_canonical_bits, brute_cycle_sum, brute_slice_masks, gather_orbit
+from conftest import (
+    brute_canonical_bits,
+    brute_cycle_sum,
+    brute_slice_masks,
+    gather_orbit,
+    traced_peak,
+)
 
 RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 
@@ -131,10 +137,18 @@ class TestCyclicIndex:
         signsearch._tour_steps.cache_clear()
         assert cyclic_index_def(fixtures().d8) == 2176
         steps = signsearch._tour_steps(8)
-        assert steps.shape == (8, 40320) and steps.dtype == np.intp
-        assert not steps.flags.writeable
+        assert steps.shape == (8, 40320) and steps.dtype == np.uint8
+        assert steps.nbytes == 8 * 40320 and not steps.flags.writeable
+        # every step index n * n - 1 fits the table's dtype up to the oracle's order
+        assert signsearch.ORACLE_MAX_ORDER**2 - 1 <= np.iinfo(steps.dtype).max
         # no cached order-8 copy of the permutations outlives the call
         assert signsearch._all_perms.cache_info().currsize == 0
+
+    def test_order8_def_memory(self):
+        # a warm call gathers one step row at a time, so it never copies the table
+        fx = fixtures()
+        cyclic_index_def(fx.d8)  # builds the cached step table
+        assert traced_peak(cyclic_index_def, fx.d8_alt) <= 500_000
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 7), seed=st.integers(0, 2**32 - 1))
@@ -371,13 +385,13 @@ class TestCanonicalForm:
     def test_order8_orbit_memory(self):
         fx = fixtures()
         _orbit(fx.d8)  # builds the cached packing weights
-        tracemalloc.start()
-        try:
-            _orbit(fx.d8_alt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 << 20
+        assert traced_peak(_orbit, fx.d8_alt) < 6 << 20
+
+    def test_order8_canonical_form_memory(self):
+        # packs only the (n-1)! bits columns of each root switch
+        fx = fixtures()
+        canonical_form(fx.d8)  # builds the cached packing weights
+        assert traced_peak(canonical_form, fx.d8_alt) <= 400_000
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_small_matrix_matches_brute_oracles(self, n):
