@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -39,6 +40,9 @@ def _check_args(args):
     length = getattr(args, "length", 3)
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
+    tolerance = getattr(args, "tolerance", 0.0)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     for attr in ("input", "matrix_file", "w_grid"):
         path = getattr(args, attr, None)
         if path and not os.path.exists(path):
@@ -249,7 +253,7 @@ def cmd_conjecture_table(args) -> int:
 def cmd_carousel(args) -> int:
     if args.grid is not None:
         w = limits.carousel_tournamenton(args.grid)
-        _emit(limits.format_step_tournamenton(w), args.output)
+        _emit(spectral.format_matrix(w), args.output)
     else:
         t = tournaments.make_carousel(args.n)
         _emit(tournaments.format_tournament(t), args.output)
@@ -259,7 +263,7 @@ def cmd_carousel(args) -> int:
 def cmd_sample(args) -> int:
     if args.w_grid:
         with open(args.w_grid) as fh:
-            w = limits.parse_step_tournamenton(fh.read())
+            w = limits.StepTournamenton(spectral.parse_matrix(fh.read()))
         t = tournaments.sample_w_random(w, args.n, args.seed)
     else:
         t = tournaments.sample_random(args.n, args.seed)

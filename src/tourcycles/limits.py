@@ -30,8 +30,6 @@ from .spectral import (
     _max_pair_error,
     _require_square,
     eigenvalues,
-    format_matrix,
-    parse_matrix,
     skew_spectrum,
     trace_power,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "sumsq_extremal",
     "antisym_dominance",
     "regular_second_eigenvalue",
-    "parse_step_tournamenton",
-    "format_step_tournamenton",
 ]
 
 GRID_TOL = 1e-12
@@ -352,11 +348,3 @@ def regular_second_eigenvalue(w: StepTournamenton) -> float:
     rest = np.delete(vals, half_pos)
     return float(np.max(np.abs(rest))) if rest.size else 0.0
 
-
-def format_step_tournamenton(w: StepTournamenton) -> str:
-    """Text form of ``spectral.format_matrix``: first line k, then k whitespace-separated rows."""
-    return format_matrix(w)
-
-
-def parse_step_tournamenton(text: str) -> StepTournamenton:
-    return StepTournamenton(parse_matrix(text))

@@ -31,8 +31,7 @@ M_p is skew, so each relabelling's packed code is linear in M_p's 0/1
 upper triangle: one cached weight matrix per order packs all n! of them
 by one float32 matrix product, exact because every weight is a signed
 power of two and each column sums below 2^24.  The codes give the canonical
-form, classify the achievers and, looked up for one target, decide
-``sign_equivalent``.
+form, whose equality decides ``sign_equivalent``, and classify the achievers.
 """
 
 from __future__ import annotations
@@ -73,13 +72,8 @@ CERTIFIED = {4: (8, (0,)), 8: (2176, (0, 1152))}
 
 
 @lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-@lru_cache(maxsize=None)
 def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached read-only ``np.triu_indices(n, 1)``: the pairs of ``_pairs(n)`` as two arrays."""
+    """Cached read-only ``np.triu_indices(n, 1)``: the pairs i < j, row-major, as two arrays."""
     iu, ju = np.triu_indices(n, 1)
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju
@@ -252,7 +246,7 @@ def _switch_packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return u, v, w, const
 
 
-def _switch_codes(b: SkewSignMatrix, roots=slice(None), cols=slice(None)) -> np.ndarray:
+def _switch_codes(b: SkewSignMatrix, cols=slice(None)) -> np.ndarray:
     """Packed codes of every relabelled root switch, int32 of shape (n, 2 (n-1)!).
 
     Root p's switch M_p[u, v] = A[p, u] A[p, v] A[u, v] lives on the n - 1
@@ -262,12 +256,12 @@ def _switch_codes(b: SkewSignMatrix, roots=slice(None), cols=slice(None)) -> np.
     product of the n upper triangles with ``_switch_packing``'s weights, by
     ``einsum``'s single-threaded loop: a threaded BLAS sgemm of this size
     (8 x 21 x 10 080) waited about 8 ms for its second thread in most fresh
-    processes on a 2-vCPU x86_64 VM, against 0.3-0.4 ms here.  The slices
-    ``roots`` and ``cols`` pack only those rows and columns.
+    processes on a 2-vCPU x86_64 VM, against 0.3-0.4 ms here.  The slice
+    ``cols`` packs only those columns.
     """
     u, v, w, const = _switch_packing(b.n)
     a = b.to_array()
-    p, u, v = np.arange(b.n)[roots, None], u[roots], v[roots]
+    p = np.arange(b.n)[:, None]
     x = (a[p, u] * a[p, v] * a[u, v] > 0).astype(np.float32)
     return (np.einsum("pt,tc->pc", x, w[:, cols]) + const[cols]).astype(np.int32)
 
@@ -287,17 +281,12 @@ def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
 def sign_equivalent(b1: SkewSignMatrix, b2: SkewSignMatrix) -> bool:
     """Whether some symmetric permutation plus sign flips maps b1 to b2.
 
-    b2's root-0 switch under the identity relabelling must be one of b1's
-    n! relabelled root switches (see ``_orbit``), so its packed bits are
-    looked up among b1's: a scan of n! codes rather than n! * 2^n matrices.
-    Only b1's bits columns and b2's identity root-0 code are packed.
+    The canonical form picks one member of each class, so b1 and b2 are
+    equivalent exactly when their canonical forms are equal.
     """
     if b1.n != b2.n:
         raise ValueError(f"order mismatch: {b1.n} vs {b2.n}")
-    if b1.n > ORACLE_MAX_ORDER:
-        raise ValueError(f"sign-equivalence scan limited to order {ORACLE_MAX_ORDER}")
-    bits = _switch_codes(b1, cols=slice(math.factorial(b1.n - 1)))
-    return bool(np.any(bits == _switch_codes(b2, slice(1), slice(1))[0, 0]))
+    return canonical_form(b1) == canonical_form(b2)
 
 
 def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
@@ -316,28 +305,23 @@ def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
 # exhaustive search
 # ---------------------------------------------------------------------------
 
-def _free_pairs(n: int, restrict: bool) -> tuple[tuple[int, int], ...]:
-    if restrict:
-        return tuple((i, j) for i in range(1, n) for j in range(i + 1, n))
-    return _pairs(n)
-
-
 @lru_cache(maxsize=None)
 def _pack_weights(n: int, restrict: bool) -> np.ndarray:
     """Int32 weights that pack upper-triangle sign patterns by one matmul, shape (m, 2).
 
-    The one statement of the bit layouts.  Row t is pair t of ``_pairs(n)``,
-    the order of ``np.triu_indices``.  Column 0 holds 1 << (m-1-t), its
-    ``SkewSignMatrix`` bit; column 1 holds 1 << r when the pair is the r-th
-    free pair, its enumeration-mask bit.  Orders up to 8 (m <= 28) fit in
-    int32.
+    The one statement of the bit layouts.  Row t is pair t of ``_triu(n)``,
+    row-major.  Column 0 holds 1 << (m-1-t), its ``SkewSignMatrix`` bit;
+    column 1 holds 1 << r when the pair is the r-th free pair, its
+    enumeration-mask bit.  The free pairs are those off the first row when
+    ``restrict`` (i >= 1), else all, in the same row-major order; there are
+    binom(n - restrict, 2) of them.  Orders up to 8 (m <= 28) fit in int32.
     """
     m = n * (n - 1) // 2
     if n > ORACLE_MAX_ORDER:
         raise ValueError(f"mask and orbit packing limited to order {ORACLE_MAX_ORDER}")
     w = np.zeros((m, 2), dtype=np.int32)
     w[:, 0] = 1 << np.arange(m - 1, -1, -1)
-    free = [_pairs(n).index(p) for p in _free_pairs(n, restrict)]
+    free = np.flatnonzero(_triu(n)[0] >= restrict)
     w[free, 1] = 1 << np.arange(len(free))
     w.flags.writeable = False
     return w
@@ -350,7 +334,7 @@ def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
     mask outside [0, 2^k) raises ValueError.
     """
     w = _pack_weights(n, restrict)
-    if not 0 <= mask < 1 << len(_free_pairs(n, restrict)):
+    if not 0 <= mask < 1 << math.comb(n - restrict, 2):
         raise ValueError(f"mask {mask} is outside the order-{n} enumeration")
     plus = (w[:, 1] == 0) | ((mask & w[:, 1]) != 0)
     return SkewSignMatrix(n, int(w[plus, 0].sum()))
@@ -408,26 +392,25 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     """
     if n < 3:
         raise ValueError(f"cyclic-index table needs order >= 3, got {n}")
-    free = _free_pairs(n, restrict)
-    if len(free) > 21:
-        raise ValueError(f"cyclic-index table over 2^{len(free)} masks exceeds 2^21")
+    k = math.comb(n - restrict, 2)
+    if k > 21:
+        raise ValueError(f"cyclic-index table over 2^{k} masks exceeds 2^21")
     bit = np.zeros((n, n), dtype=np.int64)
     bit[_triu(n)] = _pack_weights(n, restrict)[:, 1]
     bit += bit.T
-    sign = np.ones((n, n), dtype=np.int64)
-    sign[1:, 0] = -1  # fixed first-row entries A[0, j] = +1, A[j, 0] = -1
-    for i, j in free:
-        sign[i, j], sign[j, i] = -1, 1  # A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit
+    # free pair i < j: A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit; fixed
+    # first-row entries (bit 0): A[0, j] = +1, A[j, 0] = -1
+    sign = np.where((bit != 0) == np.tri(n, k=-1, dtype=bool), 1, -1)
     tours = np.pad(_all_perms(n - 1) + 1, ((0, 0), (1, 0)))  # 0 -> p1 -> ... -> p_{n-1}
     heads = np.roll(tours, -1, axis=1)
-    table = np.zeros(1 << len(free), dtype=_dp_dtype(n))
+    table = np.zeros(1 << k, dtype=_dp_dtype(n))
     np.add.at(table, bit[tours, heads].sum(axis=1), sign[tours, heads].prod(axis=1))
-    for h in range(len(free)):
+    for h in range(k):
         _butterfly(table, h)
     # Parseval: no tour has an empty free mask, and a tour and its reverse
     # share a mask and, at even n, a sign, so each undirected Hamiltonian
     # cycle puts +/-2 at its own mask (at odd n the pair cancels).
-    squares = (1 << len(free)) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
+    squares = (1 << k) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
     sumsq = np.einsum("i,i->", table, table, dtype=np.int64)  # int64 accumulator, no copy
     if table.sum(dtype=np.int64) != 0 or sumsq != squares:
         raise AssertionError(f"order-{n} cyclic-index table fails its Parseval check")

@@ -14,7 +14,7 @@ whose eigenvalues are -a^2 in pairs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class SpectrumReport:
     rho: float | None
     radius: float
     eig_sum: complex
-    vectors: np.ndarray | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,12 +185,10 @@ def trace_density(t: Tournament, length: int) -> float:
     return 2**length * trace_power(tournament_matrix(t), length)
 
 
-def eigenvalues(m, with_vectors: bool = False) -> SpectrumReport:
+def eigenvalues(m) -> SpectrumReport:
     """Full complex spectrum of a general real square matrix.
 
-    Eigenvalues are sorted by (-re, -im); with ``with_vectors`` the columns
-    of ``vectors`` follow the same order, so pair i satisfies
-    ||M v_i - lambda_i v_i|| <= 1e-8 ||M||_F.  The eigenvalue sum is checked
+    Eigenvalues are sorted by (-re, -im).  The eigenvalue sum is checked
     against the trace; a LAPACK convergence failure is reported as
     EigensolverError with the matrix order in the message.
     """
@@ -200,11 +197,7 @@ def eigenvalues(m, with_vectors: bool = False) -> SpectrumReport:
         raise ValueError("eigenvalues need a square matrix")
     n = a.shape[0]
     try:
-        if with_vectors:
-            vals, vecs = np.linalg.eig(a)
-        else:
-            vals = np.linalg.eigvals(a)
-            vecs = None
+        vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigensolver failed to converge on order-{n} matrix: {exc}"
@@ -219,14 +212,11 @@ def eigenvalues(m, with_vectors: bool = False) -> SpectrumReport:
     rho = float(np.max(vals.real[real_mask])) if np.any(real_mask) else None
     order = np.lexsort((-vals.imag, -vals.real))
     vals = vals[order]
-    if vecs is not None:
-        vecs = vecs[:, order]
     return SpectrumReport(
         eigenvalues=vals,
         rho=rho,
         radius=float(np.max(np.abs(vals))) if n else 0.0,
         eig_sum=s,
-        vectors=vecs,
     )
 
 
@@ -280,4 +270,7 @@ def parse_matrix(text: str) -> np.ndarray:
         if len(row) != n:
             raise ValueError(f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
-    return np.array(rows)
+    a = np.array(rows)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a

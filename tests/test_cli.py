@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from tourcycles.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from tourcycles.limits import carousel_tournamenton, format_step_tournamenton
+from tourcycles.limits import carousel_tournamenton
+from tourcycles.spectral import format_matrix
 from tourcycles.tournaments import format_tournament, make_carousel, parse_tournament
 
 
@@ -109,6 +110,14 @@ class TestSpectrum:
         code, out, _ = run_cli("spectrum", "--matrix-file", str(path))
         assert code == EXIT_OK
         assert json.loads(out)["radius"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_matrix_file_rejects_non_finite_entry(self, tmp_path, entry):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2\n0.25 {entry}\n0.0 0.25\n")
+        code, out, err = run_cli("spectrum", "--matrix-file", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestProfile4:
@@ -270,6 +279,12 @@ class TestReproduce:
         )
         assert code == EXIT_USAGE and "output directory" in err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        code, out, err = run_cli("reproduce", "--grid", "2", "--tolerance", tolerance)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "tolerance" in err
+
 
 class TestConjectureTable:
     def test_csv_rows(self):
@@ -322,7 +337,7 @@ class TestGenerators:
 
     def test_sample_from_grid_file(self, tmp_path):
         path = tmp_path / "w.txt"
-        path.write_text(format_step_tournamenton(carousel_tournamenton(4)))
+        path.write_text(format_matrix(carousel_tournamenton(4)))
         code, out, _ = run_cli("sample", "6", "--seed", "1", "--w-grid", str(path))
         assert code == EXIT_OK and parse_tournament(out).n == 6
 

@@ -14,15 +14,19 @@ from tourcycles.limits import (
     check_midterms,
     conjectured_c,
     cycle_density_W,
-    format_step_tournamenton,
     lower_bound_c,
-    parse_step_tournamenton,
     random_step_tournamenton,
     regular_second_eigenvalue,
     step_approximation,
     sumsq_extremal,
 )
-from tourcycles.spectral import eigenvalues, make_dominant, skew_part
+from tourcycles.spectral import (
+    eigenvalues,
+    format_matrix,
+    make_dominant,
+    parse_matrix,
+    skew_part,
+)
 from tourcycles.tournaments import make_carousel
 
 from conftest import PI_50, random_skew_matrix, series_excess
@@ -474,13 +478,11 @@ class TestRegularSecondEigenvalue:
 class TestGridText:
     def test_round_trip(self):
         w = random_step_tournamenton(5, seed=4)
-        assert np.array_equal(
-            parse_step_tournamenton(format_step_tournamenton(w)).values, w.values
-        )
+        assert np.array_equal(StepTournamenton(parse_matrix(format_matrix(w))).values, w.values)
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
-            parse_step_tournamenton("3\n0.5 0.5 0.5\n")
+            StepTournamenton(parse_matrix("3\n0.5 0.5 0.5\n"))
 
     @pytest.mark.parametrize(
         "text",
@@ -489,4 +491,4 @@ class TestGridText:
     )
     def test_rejects_malformed_text(self, text):
         with pytest.raises(ValueError):
-            parse_step_tournamenton(text)
+            StepTournamenton(parse_matrix(text))

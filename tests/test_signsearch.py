@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -281,24 +282,20 @@ class TestSignEquivalence:
     def test_distinct_values_never_equivalent(self):
         assert not sign_equivalent(dominant_sign(4), RIGHT_MATRIX_4)
 
-    def test_packs_bits_of_b1_and_one_code_of_b2(self, monkeypatch):
-        fx = fixtures()
-        calls = []
-        real = signsearch._switch_codes
-
-        def counted(b, *slices, **named):
-            out = real(b, *slices, **named)
-            calls.append((b, out.shape))
-            return out
-
-        monkeypatch.setattr(signsearch, "_switch_codes", counted)
-        assert sign_equivalent(fx.d8_alt, fx.d8_alt_blocks)
-        assert not sign_equivalent(fx.d8, fx.d8_alt)
-        # b1: the 8 x 5 040 bits codes, no slice mask; b2: its identity root-0 code alone
-        assert calls == [
-            (fx.d8_alt, (8, 5040)), (fx.d8_alt_blocks, (1, 1)),
-            (fx.d8, (8, 5040)), (fx.d8_alt, (1, 1)),
-        ]
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_orders_above_oracle_refused_before_packing(self, n):
+        # unguarded, order 10 would build the 3.3 MB order-9 permutation array first
+        b = dominant_sign(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                sign_equivalent(b, b)
+            with pytest.raises(ValueError):
+                canonical_form(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_brute_oracle(self, n):
@@ -482,11 +479,16 @@ class TestSearch:
             mask_to_matrix(9, 0)
 
     @pytest.mark.parametrize("n,mask,restrict", [
-        (8, 1 << 21, True), (8, -1, True), (4, 8, True), (4, 64, False), (4, -1, False),
+        (n, mask, restrict)
+        for n in range(3, 9)
+        for restrict in (True, False)
+        for mask in (-1, 1 << math.comb(n - restrict, 2))
     ])
     def test_mask_outside_range_refused(self, n, mask, restrict):
         with pytest.raises(ValueError):
             mask_to_matrix(n, mask, restrict)
+        top = (1 << math.comb(n - restrict, 2)) - 1  # every free pair +1
+        assert mask_to_matrix(n, top, restrict) == dominant_sign(n)
 
     @pytest.mark.parametrize("masks,restrict", [
         ([-1], True), ([8], True), ([0, 7, 8], True), ([64], False), ([3, -2], False),
