@@ -14,9 +14,9 @@ The search does not evaluate those candidates one by one.  A tour uses
 each vertex pair at most once, so Cycl is a multilinear polynomial in the
 free signs with at most (n-1)! nonzero +/-1 coefficients, one per tour
 anchored at vertex 0; its values at all 2^k sign patterns are one
-unnormalised Walsh-Hadamard transform of that coefficient vector (the
-Fourier expansion on the Boolean cube, evaluated by the fast transform);
-the report reads that table alone, and a checkpoint is a checked copy.
+Walsh-Hadamard transform of that vector, stored for the masks whose top
+free bit is 0 (flipping every free sign multiplies Cycl by (-1)^n); the
+report reads that half alone, and a checkpoint is a checked copy.
 ``cyclic_index_fast`` keeps the subset DP of ``tournaments.cycle_sum`` and
 ``cyclic_index_def`` the literal permutation sum; both re-check the
 search's answers independently.
@@ -370,25 +370,26 @@ def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
-    """Cycl/n for every enumeration mask, by one Walsh-Hadamard transform.
+    """Cycl/n at the 2^(k-1) enumeration masks whose top free bit is 0, by one transform.
 
     A tour uses each vertex pair at most once (n >= 3), so the signed sum
     over the (n-1)! tours anchored at vertex 0 is a multilinear polynomial
-    in the free signs x_e = -(-1)^bit_e:
+    in the k free signs x_e = -(-1)^bit_e:
 
         Cycl/n = sum over tours T of s_T * prod_{e in S_T} x_e
                = sum over T of s_T (-1)^|S_T| (-1)^popcount(S_T & mask),
 
     where S_T is the mask of the free pairs T uses and s_T the product of
     its fixed first-row entries and of -1 for each free pair walked from
-    the larger vertex to the smaller.  Adding s_T (-1)^|S_T| at S_T gives
-    the coefficient vector, whose unnormalised Walsh-Hadamard transform is
-    the value at every mask.  Every partial sum of the transform is a
-    signed sum of coefficients, bounded by their total |c| <= (n-1)!, so it
-    runs in the ``_dp_dtype(n)`` dtype of the subset DP (int16 at order 8).
-    The table's sum and sum of squares are checked before it is cached,
-    read-only; orders below 3 and tables above 2^21 masks are refused
-    before anything is allocated.
+    the larger vertex to the smaller.  Flipping every sign multiplies Cycl
+    by (-1)^n and switching vertex 0 restores the first row, so
+    T(m) = (-1)^n T(m ^ (2^k - 1)): readers take the upper half from the
+    complements.  Below 2^(k-1) the top bit drops out, so the table is the
+    ``_walsh_hadamard`` of s_T (-1)^|S_T| added at S_T mod 2^(k-1), exact
+    in the subset DP's ``_dp_dtype(n)`` (int16 at order 8) as |c| sums to
+    (n-1)!.  Its Parseval closed form is checked before it is cached,
+    read-only; at odd n that forces it to zero, so the sign (-1)^n is never
+    applied.  Orders below 3 and over 2^21 masks are refused up front.
     """
     if n < 3:
         raise ValueError(f"cyclic-index table needs order >= 3, got {n}")
@@ -403,24 +404,48 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     sign = np.where((bit != 0) == np.tri(n, k=-1, dtype=bool), 1, -1)
     tours = np.pad(_all_perms(n - 1) + 1, ((0, 0), (1, 0)))  # 0 -> p1 -> ... -> p_{n-1}
     heads = np.roll(tours, -1, axis=1)
-    table = np.zeros(1 << k, dtype=_dp_dtype(n))
-    np.add.at(table, bit[tours, heads].sum(axis=1), sign[tours, heads].prod(axis=1))
-    for h in range(k):
-        _butterfly(table, h)
-    # Parseval: no tour has an empty free mask, and a tour and its reverse
-    # share a mask and, at even n, a sign, so each undirected Hamiltonian
-    # cycle puts +/-2 at its own mask (at odd n the pair cancels).
-    squares = (1 << k) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
-    sumsq = np.einsum("i,i->", table, table, dtype=np.int64)  # int64 accumulator, no copy
-    if table.sum(dtype=np.int64) != 0 or sumsq != squares:
+    table = np.zeros(1 << (k - 1), dtype=_dp_dtype(n))
+    np.add.at(table, bit[tours, heads].sum(axis=1) % len(table), sign[tours, heads].prod(axis=1))
+    # a tour and its reverse share a mask and, at even n, a sign (at odd n they
+    # cancel); every mask has n - 2 bits (n if unrestricted), so none fold
+    squares = len(table) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
+    if _walsh_hadamard(table) != squares:
         raise AssertionError(f"order-{n} cyclic-index table fails its Parseval check")
     table.flags.writeable = False
     return table
 
 
-def _butterfly(table: np.ndarray, h: int) -> None:
-    """One in-place Walsh-Hadamard stage: (lo, hi) -> (lo + hi, lo - hi) across bit h."""
-    pairs = table.reshape(-1, 2, 1 << h)
+def _walsh_hadamard(c: np.ndarray) -> int:
+    """Unnormalised Walsh-Hadamard transform of c (length 2^k) in place; returns sum out^2.
+
+    out[m] = sum over S of c[S] (-1)^popcount(S & m), exact if c's dtype
+    holds sum |c|.  The stages commute: each 2^16-entry block runs those
+    across bits 5 and up, then the five lowest on a transposed copy (long
+    inner loops), and the stages across blocks run on one block's worth of
+    columns at a time, so no temporary exceeds a block.  Checked
+    (AssertionError): sum(out) = 2^k c[0] and sum out^2 = 2^k sum c^2.
+    """
+    c0, squares = int(c[0]), len(c) * np.einsum("i,i->", c, c, dtype=np.int64)  # no int64 copy
+    rows = c.reshape(-1, min(len(c), 1 << 16))
+    low = min(bits := rows.shape[1].bit_length() - 1, 5)
+    for block in rows:
+        for h in range(low, bits):
+            _butterfly(block, h)
+        t = block.reshape(-1, 1 << low).T.copy()  # bit h < low of block is bit h of t's rows
+        for h in range(low):
+            _butterfly(t, h)
+        block.reshape(-1, 1 << low)[...] = t.T
+    for panel in np.split(rows, len(rows), axis=1):  # one block's worth of columns
+        for h in range(len(rows).bit_length() - 1):
+            _butterfly(panel, h)
+    if c.sum(dtype=np.int64) != len(c) * c0 or np.einsum("i,i->", c, c, dtype=np.int64) != squares:
+        raise AssertionError(f"length-{len(c)} Walsh-Hadamard transform fails its Parseval check")
+    return int(squares)
+
+
+def _butterfly(x: np.ndarray, h: int) -> None:
+    """One in-place transform stage across bit h of x's first axis: (lo, hi) -> (lo+hi, lo-hi)."""
+    pairs = x.reshape(-1, 2, 1 << h, *x.shape[1:])
     lo, hi = pairs[:, 0], pairs[:, 1]
     diff = lo - hi
     lo += hi
@@ -432,15 +457,16 @@ def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.n
 
     Cycl is multilinear in the free signs, so n times one Walsh-Hadamard
     transform of its (n-1)! tour coefficients (``_cycle_sum_table``) holds
-    the value at every mask; a batch is one gather from that table, built
-    once per (order, restrict) and refused above 2^21 masks.  A mask outside
-    [0, 2^k) raises ValueError.
+    the value at every mask; a batch is one gather from that half table at
+    the smaller of each mask and its complement.  A mask outside [0, 2^k)
+    raises ValueError.
     """
     table = _cycle_sum_table(n, restrict)
+    full = 2 * len(table) - 1
     masks = np.asarray(masks, dtype=np.int64)
-    if masks.size and not 0 <= masks.min() <= masks.max() < len(table):
-        raise ValueError(f"masks must lie in [0, {len(table)})")
-    return n * table[masks].astype(np.int64)
+    if masks.size and not 0 <= masks.min() <= masks.max() <= full:
+        raise ValueError(f"masks must lie in [0, {full + 1})")
+    return n * table[np.minimum(masks, masks ^ full)].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -484,13 +510,21 @@ class SearchReport:
 
 
 def _scan_chunk(n: int, restrict: bool, lo: int, hi: int) -> dict:
-    """Checkpoint record of masks [lo, hi): max and min Cycl and the sorted maximizers."""
-    vals = _cycle_sum_table(n, restrict)[lo:hi]
-    best = vals.max()
+    """Checkpoint record of masks [lo, hi): max and min Cycl and the sorted maximizers.
+
+    Masks above the stored half are read as the forward slice of their
+    complements, entry i being mask 2^k - 1 - i (a reversed view scans
+    about 3x slower); a chunk may straddle the middle.
+    """
+    table = _cycle_sum_table(n, restrict)
+    half = len(table)
+    below, above = table[lo : min(hi, half)], table[2 * half - hi : 2 * half - max(lo, half)]
+    best = max(v.max() for v in (below, above) if v.size)
+    hits = np.flatnonzero(below == best) + lo, (hi - 1 - np.flatnonzero(above == best))[::-1]
     return {
         "max": n * int(best),
-        "min": n * int(vals.min()),
-        "achievers": (np.flatnonzero(vals == best) + lo).tolist(),
+        "min": n * int(min(v.min() for v in (below, above) if v.size)),
+        "achievers": np.concatenate(hits).tolist(),
     }
 
 
@@ -538,8 +572,9 @@ def search_max_cyclic_index(
     With ``restrict_first_row`` the enumeration covers matrices whose first
     row is +1 (one representative set per class); the full enumeration is
     supported at order 4 as an independent cross-check.  The report is the
-    max, min and maximizers of one cached table, read in this process
-    whatever ``workers`` is (it must be >= 1; no pool is started).  With
+    max, min and maximizers of one cached half table (the upper half's are
+    the complements of the lower's), read in this process whatever
+    ``workers`` is (it must be >= 1; no pool is started).  With
     ``checkpoint_path`` the table is also recorded in ``chunk_size`` chunks
     and the file replaced (``.tmp`` and rename) once, after the chunk loop,
     if it recorded a new chunk.  An exception that stops the loop
@@ -559,7 +594,7 @@ def search_max_cyclic_index(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.time()
     table = _cycle_sum_table(order, restrict_first_row)
-    total = len(table)
+    total = 2 * len(table)
     if checkpoint_path:
         step = min(chunk_size, total)
         params = {"order": order, "restrict_first_row": restrict_first_row, "chunk_size": step}
@@ -586,8 +621,8 @@ def search_max_cyclic_index(
 
     best = table.max()
     # compared in 2^16-mask slices, so no table-sized boolean temporary exists
-    hits = [np.flatnonzero(table[lo : lo + 65536] == best) + lo for lo in range(0, total, 65536)]
-    achievers = np.concatenate(hits)
+    hits = [np.flatnonzero(table[i : i + 65536] == best) + i for i in range(0, len(table), 65536)]
+    achievers = np.concatenate(hits + [(total - 1 - np.concatenate(hits))[::-1]])  # still sorted
     gmax = order * int(best)
     return SearchReport(
         order=order,

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from tourcycles.signsearch import (
     sign_equivalent,
     transform_sign_matrix,
 )
+from tourcycles.limits import _tangent_number, conjectured_c
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
@@ -46,6 +48,12 @@ RIGHT_MATRIX_4 = SkewSignMatrix.from_rows(["0+++", "-0+-", "--0+", "-+-0"])
 def random_sign_matrix(n: int, rng: np.random.Generator) -> SkewSignMatrix:
     bits = int(rng.integers(0, 1 << (n * (n - 1) // 2)))
     return SkewSignMatrix(n, bits)
+
+
+def order8_achievers() -> list[int]:
+    """The order-8 maximizers, read at every restricted mask through ``batch_cyclic_index``."""
+    vals = batch_cyclic_index(8, np.arange(1 << 21))
+    return np.flatnonzero(vals == vals.max()).tolist()
 
 
 def sign_tensor(n: int, masks: np.ndarray, restrict: bool) -> np.ndarray:
@@ -204,9 +212,27 @@ class TestCyclicIndex:
         [(n, True) for n in range(3, 8)] + [(n, False) for n in range(3, 7)],
     )
     def test_table_matches_subset_dp(self, n, restrict):
-        masks = np.arange(len(_cycle_sum_table(n, restrict)), dtype=np.int64)
+        # every mask, so the upper half is read through the complement reflection
+        masks = np.arange(1 << math.comb(n - restrict, 2), dtype=np.int64)
         expect = n * cycle_sum(sign_tensor(n, masks, restrict))
         assert np.array_equal(batch_cyclic_index(n, masks, restrict), expect)
+
+    @pytest.mark.parametrize("n, restrict", [
+        (4, True), (5, True), (6, True), (4, False), (5, False)
+    ])
+    def test_subset_dp_obeys_complement_identity(self, n, restrict):
+        # flipping every free sign multiplies Cycl by (-1)^n: the identity the half table rests on
+        full = (1 << math.comb(n - restrict, 2)) - 1
+        masks = np.arange(full + 1, dtype=np.int64)
+        vals = cycle_sum(sign_tensor(n, masks, restrict))
+        assert np.array_equal(vals[::-1], (-1) ** n * vals)
+        assert np.any(vals) == (n % 2 == 0)
+
+    def test_upper_half_matches_subset_dp_order8_sample(self):
+        masks = np.random.default_rng(25).integers(1 << 20, 1 << 21, size=4096, dtype=np.int64)
+        vals = batch_cyclic_index(8, masks)
+        assert np.array_equal(vals, 8 * cycle_sum(sign_tensor(8, masks, True)))
+        assert np.array_equal(vals, batch_cyclic_index(8, masks ^ ((1 << 21) - 1)))
 
     def test_table_matches_subset_dp_order8_sample(self):
         fx = fixtures()
@@ -232,11 +258,14 @@ class TestCyclicIndex:
 
     @pytest.mark.parametrize("n, restrict", [(6, True), (8, True), (4, False)])
     def test_skipped_transform_stage_fails_parseval_check(self, monkeypatch, n, restrict):
+        # every _butterfly call across bit 2 is skipped: the stage across bit 2
+        # of every block (and at order 8, with 16 blocks, also the cross-block
+        # stage across bit 2 of the block index)
         real = signsearch._butterfly
 
-        def skip_stage_2(table, h):
+        def skip_stage_2(x, h):
             if h != 2:
-                real(table, h)
+                real(x, h)
 
         monkeypatch.setattr(signsearch, "_butterfly", skip_stage_2)
         with pytest.raises(AssertionError, match="Parseval"):
@@ -248,7 +277,33 @@ class TestCyclicIndex:
             table[0] = 0
         vals = batch_cyclic_index(4, np.arange(8))
         vals[:] = 0  # a batch is a copy, not a view of the table
-        assert batch_cyclic_index(4, np.arange(8)).tolist() == (4 * table).tolist()
+        assert batch_cyclic_index(4, np.arange(8)).tolist() == [8, 8, -24, 8, 8, -24, 8, 8]
+
+    def test_order8_table_holds_half_the_masks(self):
+        table = _cycle_sum_table(8, True)
+        assert table.nbytes == 2_097_152 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+    def test_order8_table_build_memory(self):
+        # the int16 half table is 2 MiB; the blocked transform adds at most one block
+        assert traced_peak(_cycle_sum_table.__wrapped__, 8, True) < 3 << 20
+
+    def test_transform_checks_itself(self, monkeypatch):
+        c = np.random.default_rng(26).integers(-3, 4, size=1 << 17).astype(np.int32)
+        x = c.copy()
+        signsearch._walsh_hadamard(x)
+        signsearch._walsh_hadamard(x)  # applied twice it scales by 2^17
+        assert np.array_equal(x, c << 17)
+        real = signsearch._butterfly
+
+        def skip_stage_0(x, h):
+            if h != 0:
+                real(x, h)
+
+        monkeypatch.setattr(signsearch, "_butterfly", skip_stage_0)
+        with pytest.raises(AssertionError, match="length-131072 Walsh-Hadamard transform fails its Parseval"):
+            signsearch._walsh_hadamard(c.copy())
 
     def test_trace_bounds_cyclic_index(self):
         d8 = dominant_sign(8)
@@ -365,16 +420,13 @@ class TestCanonicalForm:
             return out
 
         monkeypatch.setattr(signsearch, "_switch_codes", counted)
-        table = _cycle_sum_table(8, True)
-        achievers = np.flatnonzero(table == table.max()).tolist()
-        classes = _classify_achievers(8, achievers, True, 2176)
+        classes = _classify_achievers(8, order8_achievers(), True, 2176)
         assert [c.bits for c in classes] == [0, 1152]
         assert calls == [40320, 40320]
 
     @pytest.mark.parametrize("drop", [0, 12345, -1])
     def test_classification_refuses_missing_orbit_member(self, drop):
-        table = _cycle_sum_table(8, True)
-        achievers = np.flatnonzero(table == table.max()).tolist()
+        achievers = order8_achievers()
         missing = achievers.pop(drop)
         with pytest.raises(AssertionError, match=f"orbit member {missing} of an achiever"):
             _classify_achievers(8, achievers, True, 2176)
@@ -496,6 +548,12 @@ class TestSearch:
     def test_batch_mask_outside_range_refused(self, masks, restrict):
         with pytest.raises(ValueError):
             batch_cyclic_index(4, np.array(masks), restrict)
+
+    def test_batch_mask_outside_range_refused_order8(self):
+        # the range is 2^21 masks, not the 2^20 the half table stores
+        with pytest.raises(ValueError):
+            batch_cyclic_index(8, np.array([1 << 21]))
+        assert batch_cyclic_index(8, np.array([(1 << 21) - 1])).tolist() == [2176]  # D_8
 
     def test_mask_rejects_matrix_outside_slice(self):
         # flipping row 1 puts -1 into the first row
@@ -716,6 +774,21 @@ class TestSearch:
         golden = Path(__file__).parent / "golden" / "verify-lemma-order8.json"
         assert json.dumps(dict(report, confirmed=True), indent=2) + "\n" == golden.read_text()
         assert path.read_text() == text
+
+
+class TestCertificateChain:
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_dominant_cyclic_index_is_a_tangent_number(self, n):
+        # dominant_sign stops at order 12, so the all-+1 upper triangle is built here
+        d = np.triu(np.ones((n, n), dtype=np.int8), 1)
+        cycl = n * int(cycle_sum((d - d.T)[:, :, None])[0])
+        assert cycl == ((-1) ** (n // 2) * n * _tangent_number(n // 2) if n % 2 == 0 else 0)
+
+    @pytest.mark.parametrize("n", sorted(CERTIFIED))
+    def test_certified_maximum_gives_conjectured_constant(self, n):
+        best, _ = CERTIFIED[n]
+        assert 1 + Fraction(best, math.factorial(n)) == conjectured_c(n).exact
+        assert cyclic_index_fast(dominant_sign(n)) == best
 
 
 class TestFixtures:
