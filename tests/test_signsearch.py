@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourcycles import signsearch
+from tourcycles.limits import _tangent_number, conjectured_c
 from tourcycles.signsearch import (
     CERTIFIED,
     SkewSignMatrix,
@@ -30,7 +31,6 @@ from tourcycles.signsearch import (
     sign_equivalent,
     transform_sign_matrix,
 )
-from tourcycles.limits import _tangent_number, conjectured_c
 from tourcycles.spectral import trace_power
 from tourcycles.tournaments import cycle_sum, exact_cycle_count, four_profile
 
@@ -302,7 +302,7 @@ class TestCyclicIndex:
                 real(x, h)
 
         monkeypatch.setattr(signsearch, "_butterfly", skip_stage_0)
-        with pytest.raises(AssertionError, match="length-131072 Walsh-Hadamard transform fails its Parseval"):
+        with pytest.raises(AssertionError, match="length-131072 Walsh-Hadamard"):
             signsearch._walsh_hadamard(c.copy())
 
     def test_trace_bounds_cyclic_index(self):
