@@ -6,6 +6,13 @@ confirmed, 1 usage or IO error, 2 verification mismatch.  All randomness
 flows from the --seed flag, so every command is deterministic given its
 arguments.  count and verify-lemma run in one process; their --workers
 flags (default from TOURCYCLES_WORKERS) must be >= 1 and change nothing else.
+
+Each command imports the modules it uses when it runs, and no others:
+verify-lemma loads signsearch and tournaments; count and spectrum load
+tournaments and spectral; profile4, carousel and sample load tournaments
+alone; reproduce, conjecture-table, carousel --grid and sample --w-grid
+load limits, which brings spectral and tournaments.  --help and usage
+errors load no numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +23,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
-
-from . import limits, signsearch, spectral, tournaments
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -96,7 +99,9 @@ def _render_report(rows: list[dict], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tournament_from_args(args) -> tournaments.Tournament:
+def _tournament_from_args(args):
+    from . import tournaments
+
     sources = [
         args.input is not None,
         args.carousel is not None,
@@ -129,6 +134,8 @@ def _add_tournament_source(p: argparse.ArgumentParser):
 
 
 def cmd_count(args) -> int:
+    from . import spectral, tournaments
+
     t = _tournament_from_args(args)
     if args.length > t.n:
         raise ValueError(f"cycle length {args.length} exceeds vertex count {t.n}")
@@ -150,6 +157,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectral
+
     if args.matrix_file:
         with open(args.matrix_file) as fh:
             m = spectral.parse_matrix(fh.read())
@@ -162,6 +171,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_profile4(args) -> int:
+    from . import tournaments
+
     t = _tournament_from_args(args)
     p = tournaments.four_profile(t)
     row = {"n": t.n, "t4": p.t4, "c4": p.c4, "l4": p.l4, "w4": p.w4, "total": p.total}
@@ -170,6 +181,8 @@ def cmd_profile4(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
+    from . import signsearch
+
     report = signsearch.search_max_cyclic_index(
         args.order,
         workers=args.workers,
@@ -196,6 +209,10 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    import numpy as np
+
+    from . import limits
+
     rows = []
     worst = 0.0
     carousel = limits.carousel_tournamenton(args.grid)
@@ -234,6 +251,8 @@ def cmd_conjecture_table(args) -> int:
     """Table of c(l) for l = 4, 8, ...; exact values, so terms_used and truncation_bound are 0."""
     if args.max_length < 4:
         raise ValueError(f"--max-length must be >= 4, got {args.max_length}")
+    from . import limits
+
     rows = []
     for length in range(4, args.max_length + 1, 4):
         cv = limits.conjectured_c(length)
@@ -252,16 +271,24 @@ def cmd_conjecture_table(args) -> int:
 
 def cmd_carousel(args) -> int:
     if args.grid is not None:
+        from . import limits, spectral
+
         w = limits.carousel_tournamenton(args.grid)
         _emit(spectral.format_matrix(w), args.output)
     else:
+        from . import tournaments
+
         t = tournaments.make_carousel(args.n)
         _emit(tournaments.format_tournament(t), args.output)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
+    from . import tournaments
+
     if args.w_grid:
+        from . import limits, spectral
+
         with open(args.w_grid) as fh:
             w = limits.StepTournamenton(spectral.parse_matrix(fh.read()))
         t = tournaments.sample_w_random(w, args.n, args.seed)

@@ -263,7 +263,9 @@ def _switch_codes(b: SkewSignMatrix, cols=slice(None)) -> np.ndarray:
     a = b.to_array()
     p = np.arange(b.n)[:, None]
     x = (a[p, u] * a[p, v] * a[u, v] > 0).astype(np.float32)
-    return (np.einsum("pt,tc->pc", x, w[:, cols]) + const[cols]).astype(np.int32)
+    codes = np.einsum("pt,tc->pc", x, w[:, cols])
+    codes += const[cols]
+    return codes.astype(np.int32)
 
 
 def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
@@ -396,16 +398,23 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     k = math.comb(n - restrict, 2)
     if k > 21:
         raise ValueError(f"cyclic-index table over 2^{k} masks exceeds 2^21")
-    bit = np.zeros((n, n), dtype=np.int64)
+    bit = np.zeros((n, n), dtype=np.int32)
     bit[_triu(n)] = _pack_weights(n, restrict)[:, 1]
     bit += bit.T
     # free pair i < j: A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit; fixed
     # first-row entries (bit 0): A[0, j] = +1, A[j, 0] = -1
-    sign = np.where((bit != 0) == np.tri(n, k=-1, dtype=bool), 1, -1)
+    sign = np.where((bit != 0) == np.tri(n, k=-1, dtype=bool), np.int8(1), np.int8(-1))
     tours = np.pad(_all_perms(n - 1) + 1, ((0, 0), (1, 0)))  # 0 -> p1 -> ... -> p_{n-1}
-    heads = np.roll(tours, -1, axis=1)
+    # each tour's free-pair mask (distinct bits, so the int32 sum is their OR)
+    # and its sign, accumulated one step of every tour at a time
+    mask = np.zeros(len(tours), dtype=np.int32)
+    coef = np.ones(len(tours), dtype=np.int8)
+    for tail, head in zip(tours.T, np.roll(tours, -1, axis=1).T):
+        mask += bit[tail, head]
+        coef *= sign[tail, head]
+    mask %= 1 << (k - 1)
     table = np.zeros(1 << (k - 1), dtype=_dp_dtype(n))
-    np.add.at(table, bit[tours, heads].sum(axis=1) % len(table), sign[tours, heads].prod(axis=1))
+    np.add.at(table, mask, coef)
     # a tour and its reverse share a mask and, at even n, a sign (at odd n they
     # cancel); every mask has n - 2 bits (n if unrestricted), so none fold
     squares = len(table) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
@@ -466,7 +475,11 @@ def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.n
     masks = np.asarray(masks, dtype=np.int64)
     if masks.size and not 0 <= masks.min() <= masks.max() <= full:
         raise ValueError(f"masks must lie in [0, {full + 1})")
-    return n * table[np.minimum(masks, masks ^ full)].astype(np.int64)
+    idx = masks ^ full  # the one batch-sized index: each mask's complement, then the smaller
+    np.minimum(idx, masks, out=idx)
+    vals = table[idx]
+    del idx
+    return np.multiply(vals, n, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from string import ascii_letters
 from typing import Iterable
 
 import numpy as np
@@ -372,7 +371,8 @@ def _walk_corrections(length: int) -> tuple[tuple[int, str, tuple], ...]:
         if not coefficient:
             continue
         edges = sorted({(labels[i - 1], labels[i]) for i in range(length)})
-        subscripts = ",".join(ascii_letters[u] + ascii_letters[v] for u, v in edges) + "->"
+        # block b is subscript letter chr(97 + b): a, b, ... (at most 8 blocks)
+        subscripts = ",".join(chr(97 + u) + chr(97 + v) for u, v in edges) + "->"
         path = np.einsum_path(subscripts, *[stand_in] * len(edges), optimize="greedy")[0]
         terms.append((coefficient, subscripts, tuple(path)))
     return tuple(terms)

@@ -159,7 +159,7 @@ class TestVerifyLemma:
         assert rep["confirmed"] is True
 
     def test_mismatch_exits_two(self, monkeypatch):
-        import tourcycles.cli as climod
+        from tourcycles import signsearch
         from tourcycles.signsearch import search_max_cyclic_index
 
         def doctored(order, **kwargs):
@@ -175,7 +175,7 @@ class TestVerifyLemma:
                 restricted_first_row=real.restricted_first_row,
             )
 
-        monkeypatch.setattr(climod.signsearch, "search_max_cyclic_index", doctored)
+        monkeypatch.setattr(signsearch, "search_max_cyclic_index", doctored)
         code, _, err = run_cli("verify-lemma", "--order", "4")
         assert code == EXIT_MISMATCH and "MISMATCH" in err
 
@@ -232,12 +232,12 @@ class TestVerifyLemma:
         assert code == EXIT_USAGE and out == "" and err.startswith("error:")
 
     def test_checkpoint_in_missing_directory_rejected_before_scan(self, tmp_path, monkeypatch):
-        import tourcycles.cli as climod
+        from tourcycles import signsearch
 
         def no_search(*args, **kwargs):
             raise AssertionError("the search started before the checkpoint path was checked")
 
-        monkeypatch.setattr(climod.signsearch, "search_max_cyclic_index", no_search)
+        monkeypatch.setattr(signsearch, "search_max_cyclic_index", no_search)
         path = tmp_path / "missing" / "dir" / "ck.json"
         code, out, err = run_cli("verify-lemma", "--order", "8", "--checkpoint", str(path))
         assert code == EXIT_USAGE and out == ""
@@ -377,6 +377,22 @@ class TestUsage:
 
         args = build_parser().parse_args(["verify-lemma", "--order", "4"])
         assert args.workers == 1
+
+    def test_verify_lemma_orders_are_the_certified_ones(self):
+        # the parser lists the orders literally, so it need not load signsearch
+        from tourcycles.cli import build_parser
+        from tourcycles.signsearch import CERTIFIED
+
+        parser = build_parser()
+        accepted = []
+        for order in range(1, 13):
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    parser.parse_args(["verify-lemma", "--order", str(order)])
+                except SystemExit:
+                    continue
+            accepted.append(order)
+        assert accepted == sorted(CERTIFIED) == [4, 8]
 
 
 GOLDEN = Path(__file__).parent / "golden"

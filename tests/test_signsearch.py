@@ -286,8 +286,18 @@ class TestCyclicIndex:
             table[0] = 0
 
     def test_order8_table_build_memory(self):
-        # the int16 half table is 2 MiB; the blocked transform adds at most one block
-        assert traced_peak(_cycle_sum_table.__wrapped__, 8, True) < 3 << 20
+        # the int16 half table is 2 MiB; the int8 and int32 tour coefficients and
+        # the blocked transform add at most a quarter MiB more
+        assert traced_peak(_cycle_sum_table.__wrapped__, 8, True) < 5 << 19
+
+    def test_order8_gather_memory(self):
+        # 2^16 masks straddling the middle of the table: beside the caller's masks,
+        # the int16 values (128 KiB) and one int64 array (512 KiB), first the
+        # index and then the result
+        masks = np.arange((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), dtype=np.int64)
+        vals = batch_cyclic_index(8, masks)  # also builds the cached table
+        assert np.array_equal(vals, vals[::-1])  # entry i and entry -1-i are complements
+        assert traced_peak(batch_cyclic_index, 8, masks) < 768 << 10
 
     def test_transform_checks_itself(self, monkeypatch):
         c = np.random.default_rng(26).integers(-3, 4, size=1 << 17).astype(np.int32)
