@@ -287,7 +287,7 @@ class TestCyclicIndex:
 
     def test_order8_table_build_memory(self):
         # the int16 half table is 2 MiB; the int8 and int32 tour coefficients and
-        # the blocked transform add at most a quarter MiB more
+        # the blocked transform add less than half a MiB more
         assert traced_peak(_cycle_sum_table.__wrapped__, 8, True) < 5 << 19
 
     def test_order8_gather_memory(self):
