@@ -31,7 +31,8 @@ M_p is skew, so each relabelling's packed code is linear in M_p's 0/1
 upper triangle: one cached weight matrix per order packs all n! of them
 by one float32 matrix product, exact because every weight is a signed
 power of two and each column sums below 2^24.  The codes give the canonical
-form, whose equality decides ``sign_equivalent``, and classify the achievers.
+form, whose equality decides ``sign_equivalent``, and reversed, the slice
+masks that classify the achievers.
 """
 
 from __future__ import annotations
@@ -216,56 +217,71 @@ def _switch_packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     x[p, t] = M_p[u, v] > 0 is the 0/1 upper triangle of root switch p.  M_p
     is skew, so relabelling q reads pair t = (i, j) at (q(i), q(j)) as x at
     that pair when q(i) < q(j) and as 1 - x at the mirrored pair otherwise.
-    Its packed code is therefore const[c] + x[p] @ w[:, c], with column
-    c = q the ``SkewSignMatrix`` bits and c = (n-1)! + q the slice mask, both
-    from ``_pack_weights(n, True)``.  Every weight is +/-2^k and each
-    column's |w| sums to at most 2^21 - 1 < 2^24 (order 8), so every partial
-    sum of a float32 product is an exact integer whatever order it is summed
-    in.  w is filled one pair at a time, so no (P, m) temporary exists.
+    Its ``SkewSignMatrix`` bits (free pairs only) are therefore
+    const[q] + x[p] @ w[:, q]: w is (21, 5 040) float32 at order 8.  Every
+    weight is +/-2^k and each column's |w| sums to at most 2^21 - 1 < 2^24,
+    so every partial sum of a float32 product is an exact integer whatever
+    order it is summed in.  w is filled one pair at a time, so no (P, m)
+    temporary exists.
     """
     iu, ju = _triu(n - 1)
     rank = np.zeros((n - 1, n - 1), dtype=np.int64)
     rank[iu, ju] = rank[ju, iu] = np.arange(len(iu))
     perms = _all_perms(n - 1)
     cols = np.arange(len(perms))
-    weights = _pack_weights(n, True)[n - 1 :]
-    w = np.zeros((len(iu), 2, len(perms)), dtype=np.float32)
-    const = np.zeros((2, len(perms)), dtype=np.float32)
+    weights = _pack_weights(n, True)[n - 1 :, 0]
+    w = np.zeros((len(iu), len(perms)), dtype=np.float32)
+    const = np.zeros(len(perms), dtype=np.float32)
     for t, (i, j) in enumerate(zip(iu, ju)):
         qi, qj = perms[:, i], perms[:, j]
         flip = qi > qj
-        for c in (0, 1):
-            w[rank[qi, qj], c, cols] = np.where(flip, -weights[t, c], weights[t, c])
-            const[c] += flip * weights[t, c]
+        w[rank[qi, qj], cols] = np.where(flip, -weights[t], weights[t])
+        const += flip * weights[t]
     k = np.arange(n - 1)
     rest = k + (k >= np.arange(n)[:, None])  # rest[p]: the vertices other than p
     u, v = rest[:, iu], rest[:, ju]
-    w, const = w.reshape(len(iu), 2 * len(perms)), const.reshape(-1)
     for arr in (u, v, w, const):
         arr.flags.writeable = False
     return u, v, w, const
 
 
-def _switch_codes(b: SkewSignMatrix, cols=slice(None)) -> np.ndarray:
-    """Packed codes of every relabelled root switch, int32 of shape (n, 2 (n-1)!).
+def _switch_codes(b: SkewSignMatrix) -> np.ndarray:
+    """Packed codes of every relabelled root switch, int32 of shape (n, (n-1)!).
 
     Root p's switch M_p[u, v] = A[p, u] A[p, v] A[u, v] lives on the n - 1
-    vertices other than p; column q < (n-1)! of row p holds the
-    ``SkewSignMatrix`` bits of M_p relabelled by the q-th permutation (the
-    first is the identity), column (n-1)! + q its slice mask.  One float32
-    product of the n upper triangles with ``_switch_packing``'s weights, by
-    ``einsum``'s single-threaded loop: a threaded BLAS sgemm of this size
-    (8 x 21 x 10 080) waited about 8 ms for its second thread in most fresh
-    processes on a 2-vCPU x86_64 VM, against 0.3-0.4 ms here.  The slice
-    ``cols`` packs only those columns.
+    vertices other than p; column q of row p holds the ``SkewSignMatrix``
+    bits of M_p relabelled by the q-th permutation (the first is the
+    identity).  One float32 product of the n upper triangles with
+    ``_switch_packing``'s weights (8 x 21 x 5 040), by ``einsum``'s
+    single-threaded loop: a threaded BLAS sgemm of twice that width waited
+    about 8 ms for its second thread in most fresh processes on a 2-vCPU
+    x86_64 VM, against about 0.15 ms here.
     """
     u, v, w, const = _switch_packing(b.n)
     a = b.to_array()
     p = np.arange(b.n)[:, None]
     x = (a[p, u] * a[p, v] * a[u, v] > 0).astype(np.float32)
-    codes = np.einsum("pt,tc->pc", x, w[:, cols])
-    codes += const[cols]
+    codes = np.einsum("pt,tc->pc", x, w)
+    codes += const
     return codes.astype(np.int32)
+
+
+def _reverse_bits(x: np.ndarray, k: int) -> np.ndarray:
+    """Reverse the low k bits of each entry of int32 x (all below 2^k) in place; returns x.
+
+    Five swap stages reverse all 32 bits of the uint32 view through one
+    scratch buffer; a logical shift by 32 - k drops the high zeros.
+    """
+    y = x.view(np.uint32)
+    tmp = np.empty_like(y)
+    for s, m in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF), (16, 0xFFFF)):
+        np.right_shift(y, s, out=tmp)
+        tmp &= m
+        y &= m
+        y <<= s
+        y |= tmp
+    y >>= 32 - k
+    return x
 
 
 def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
@@ -273,10 +289,15 @@ def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
 
     ``perm`` relabels vertices (entry (i, j) is taken from (perm[i], perm[j]))
     and ``flips`` is the set of positions whose row and column change sign.
+    ValueError unless perm permutes range(n) and flips is a subset of it.
     """
-    perm = list(perm)
+    perm, flips = list(perm), list(flips)
+    if sorted(perm) != list(range(b.n)):
+        raise ValueError(f"perm must be a permutation of range({b.n}), got {perm}")
+    if not set(flips) <= set(range(b.n)):
+        raise ValueError(f"flips must be a subset of range({b.n}), got {flips}")
     s = np.ones(b.n, dtype=np.int64)
-    s[list(flips)] = -1
+    s[flips] = -1
     return SkewSignMatrix.from_array(b.to_array()[np.ix_(perm, perm)] * s[None, :] * s[:, None])
 
 
@@ -294,13 +315,12 @@ def sign_equivalent(b1: SkewSignMatrix, b2: SkewSignMatrix) -> bool:
 def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
     """Lexicographically smallest packed encoding over the sign-equivalence orbit.
 
-    The minimum of the bits columns of ``_switch_codes`` (see ``_orbit``),
-    so only those (n-1)! columns are packed.
+    The minimum of the codes of ``_switch_codes`` (see ``_orbit``): one
+    float32 product, 8 x 21 x 5 040 at order 8.
     """
     if b.n > ORACLE_MAX_ORDER:
         raise ValueError(f"canonicalization limited to order {ORACLE_MAX_ORDER}")
-    bits = _switch_codes(b, cols=slice(math.factorial(b.n - 1)))
-    return SkewSignMatrix(b.n, int(bits.min()))
+    return SkewSignMatrix(b.n, int(_switch_codes(b).min()))
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +375,21 @@ def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
 
     A class member with a +1 first row maps some root p to vertex 0, which
     forces its flips up to a global sign, so its free pairs are the root
-    switch M_p relabelled: the mask columns of ``_switch_codes`` are the
-    slice masks, sorted and deduplicated by one compare.  The smallest
-    packing of a relabelling forces the first row to -1 instead, which
-    changes no free pair (each is s_i s_j A_ij with the same sign product),
-    so the canonical bits are the minimum of the bits columns.
+    switch M_p relabelled.  The smallest packing of a relabelling forces
+    the first row to -1 instead, which changes no free pair (each is
+    s_i s_j A_ij with the same sign product), so the canonical bits are the
+    minimum of ``_switch_codes``.  A code's k = binom(n-1, 2) bits are its
+    slice mask reversed (``_pack_weights``), so the codes are reversed and
+    sorted in place, then deduplicated by one compare.
     """
     codes = _switch_codes(b)
-    half = codes.shape[1] // 2
-    masks = np.sort(codes[:, half:], axis=None)
+    bits = int(codes.min())
+    masks = _reverse_bits(codes.ravel(), math.comb(b.n - 1, 2))
+    masks.sort()
     keep = np.ones(masks.size, dtype=bool)
     np.not_equal(masks[1:], masks[:-1], out=keep[1:])
     # compress, not a boolean index: about 3x faster on the 40 320 order-8 masks
-    return int(codes[:, :half].min()), masks.compress(keep)
+    return bits, masks.compress(keep)
 
 
 @lru_cache(maxsize=None)

@@ -347,6 +347,17 @@ class TestSignEquivalence:
     def test_distinct_values_never_equivalent(self):
         assert not sign_equivalent(dominant_sign(4), RIGHT_MATRIX_4)
 
+    @pytest.mark.parametrize("perm,flips,arg", [
+        ([0, 1, 2, -1], [], "perm"),  # a negative index would wrap to vertex 3
+        ([0, 1, 1, 3], [], "perm"),
+        ([0, 1, 2], [], "perm"),
+        ([0, 1, 2, 3], [-1], "flips"),
+        ([0, 1, 2, 3], [4], "flips"),
+    ], ids=["negative", "repeated", "short", "negative-flip", "flip-out-of-range"])
+    def test_transform_refuses_bad_perm_or_flips(self, perm, flips, arg):
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            transform_sign_matrix(RIGHT_MATRIX_4, perm, flips)
+
     @pytest.mark.parametrize("n", [9, 10])
     def test_orders_above_oracle_refused_before_packing(self, n):
         # unguarded, order 10 would build the 3.3 MB order-9 permutation array first
@@ -426,7 +437,7 @@ class TestCanonicalForm:
 
         def counted(b):
             out = real(b)
-            calls.append(out.size // 2)  # relabelled switches packed by this call
+            calls.append(out.size)  # relabelled switches packed by this call
             return out
 
         monkeypatch.setattr(signsearch, "_switch_codes", counted)
@@ -444,7 +455,34 @@ class TestCanonicalForm:
     def test_order8_orbit_memory(self):
         fx = fixtures()
         _orbit(fx.d8)  # builds the cached packing weights
-        assert traced_peak(_orbit, fx.d8_alt) < 6 << 20
+        # the codes, one reversal buffer and einsum's own buffers: 444 128 B traced
+        assert traced_peak(_orbit, fx.d8_alt) < 460_000
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_slice_mask_is_the_reversed_bits(self, n):
+        w = signsearch._pack_weights(n, True)[n - 1 :]
+        masks = w[:, 1].copy()
+        assert signsearch._reverse_bits(masks, math.comb(n - 1, 2)).tolist() == w[:, 0].tolist()
+
+    def test_order8_packing_holds_the_bits_columns_alone(self):
+        _, _, w, const = signsearch._switch_packing(8)
+        assert (w.shape, w.nbytes, const.nbytes) == ((21, 5040), 423_360, 20_160)
+
+    @pytest.mark.parametrize("n,classes", [(3, 1), (4, 2), (5, 2), (6, 6), (7, 12), (8, 79)])
+    def test_orbits_partition_the_slice(self, n, classes):
+        # every restricted mask passes through one _orbit call's bit reversal
+        covered = np.zeros(1 << math.comb(n - 1, 2), dtype=bool)
+        values = []
+        while not covered.all():
+            bits, orbit = _orbit(mask_to_matrix(n, int(np.argmin(covered))))
+            assert not covered[orbit].any()
+            covered[orbit] = True
+            value = cyclic_index_def(SkewSignMatrix(n, bits))
+            assert np.all(batch_cyclic_index(n, orbit) == value)
+            values.append((value, orbit.size))
+        assert len(values) == classes
+        if n == 8:
+            assert [size for value, size in values if value == 2176] == [5040, 20160]
 
     def test_order8_canonical_form_memory(self):
         # packs only the (n-1)! bits columns of each root switch
