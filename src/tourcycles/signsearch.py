@@ -15,8 +15,9 @@ each vertex pair at most once, so Cycl is a multilinear polynomial in the
 free signs with at most (n-1)! nonzero +/-1 coefficients, one per tour
 anchored at vertex 0; its values at all 2^k sign patterns are one
 Walsh-Hadamard transform of that vector, stored for the masks whose top
-free bit is 0 (flipping every free sign multiplies Cycl by (-1)^n); the
-report reads that half alone, and a checkpoint is a checked copy.
+free bit is 0 (flipping every free sign multiplies Cycl by (-1)^n), one
+2^16-mask block at a time, as int8 multiples of one unit (1 MiB at order
+8); the report reads that half alone, and a checkpoint is a checked copy.
 ``cyclic_index_fast`` keeps the subset DP of ``tournaments.cycle_sum`` and
 ``cyclic_index_def`` the literal permutation sum; both re-check the
 search's answers independently.
@@ -393,8 +394,8 @@ def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
-    """Cycl/n at the 2^(k-1) enumeration masks whose top free bit is 0, by one transform.
+def _cycle_sum_table(n: int, restrict: bool) -> tuple[np.ndarray, int]:
+    """(table, unit): Cycl = unit * table at the 2^(k-1) masks whose top free bit is 0.
 
     A tour uses each vertex pair at most once (n >= 3), so the signed sum
     over the (n-1)! tours anchored at vertex 0 is a multilinear polynomial
@@ -408,12 +409,21 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     the larger vertex to the smaller.  Flipping every sign multiplies Cycl
     by (-1)^n and switching vertex 0 restores the first row, so
     T(m) = (-1)^n T(m ^ (2^k - 1)): readers take the upper half from the
-    complements.  Below 2^(k-1) the top bit drops out, so the table is the
-    ``_walsh_hadamard`` of s_T (-1)^|S_T| added at S_T mod 2^(k-1), exact
-    in the subset DP's ``_dp_dtype(n)`` (int16 at order 8) as |c| sums to
-    (n-1)!.  Its Parseval closed form is checked before it is cached,
-    read-only; at odd n that forces it to zero, so the sign (-1)^n is never
-    applied.  Orders below 3 and over 2^21 masks are refused up front.
+    complements.  Below 2^(k-1) the top bit drops out, so the half table is
+    the Walsh-Hadamard transform of c_T = s_T (-1)^|S_T| added at
+    S_T mod 2^(k-1).  It is built one block of up to 2^16 masks at a time:
+    block j, the masks j * 2^16 + l, is the ``_walsh_hadamard`` of the
+    coefficients folded onto their low 16 bits with the sign
+    (-1)^popcount(high & j), exact in the subset DP's ``_dp_dtype(n)``
+    (int16 at order 8) as |c| sums to (n-1)!.  Each block is stored as
+    int8 quotients by 2^s, s the 2-adic valuation of the first block, so
+    unit = n * 2^s (128 at order 8, where the 21 values are multiples of
+    16 with quotients -63 ... 17); a block off that lattice or outside
+    int8 fails the build (AssertionError), as does the Parseval closed
+    form summed over the blocks, before the table is cached, read-only.
+    At odd n the Parseval sum forces the table to zero, so the sign
+    (-1)^n is never applied.  Orders below 3 and over 2^21 masks are
+    refused up front.
     """
     if n < 3:
         raise ValueError(f"cyclic-index table needs order >= 3, got {n}")
@@ -434,41 +444,58 @@ def _cycle_sum_table(n: int, restrict: bool) -> np.ndarray:
     for tail, head in zip(tours.T, np.roll(tours, -1, axis=1).T):
         mask += bit[tail, head]
         coef *= sign[tail, head]
-    mask %= 1 << (k - 1)
-    table = np.zeros(1 << (k - 1), dtype=_dp_dtype(n))
-    np.add.at(table, mask, coef)
+    table = np.empty(1 << (k - 1), dtype=np.int8)
+    size = min(len(table), 1 << 16)
+    blocks = table.reshape(-1, size)
+    mask %= len(table)
+    low = mask & (size - 1)
+    order = np.argsort(low)
+    low, high, coef = low[order], mask[order] >> (size.bit_length() - 1), coef[order]
+    starts = np.flatnonzero(np.diff(low, prepend=-1))  # one run per distinct low part
+    low = low[starts]
+    signs = np.array([1 - 2 * (bin(j).count("1") & 1) for j in range(len(blocks))], dtype=np.int8)
+    block = np.empty(size, dtype=_dp_dtype(n))
+    squares, shift = 0, None
+    for j, out in enumerate(blocks):
+        fold = signs[high & j]  # (-1)^popcount(high & j)
+        fold *= coef
+        block.fill(0)
+        block[low] = np.add.reduceat(fold, starts, dtype=block.dtype)
+        squares += _walsh_hadamard(block)
+        bits = int(np.bitwise_or.reduce(block))
+        if shift is None:
+            shift = (bits & -bits).bit_length() - 1 if bits else 0
+        if bits & ((1 << shift) - 1):
+            raise AssertionError(f"order-{n} cyclic-index block is not a multiple of 2^{shift}")
+        block >>= shift
+        if block.min() < -128 or block.max() > 127:
+            raise AssertionError(f"order-{n} cyclic-index block / 2^{shift} exceeds int8")
+        out[...] = block
     # a tour and its reverse share a mask and, at even n, a sign (at odd n they
-    # cancel); every mask has n - 2 bits (n if unrestricted), so none fold
-    squares = len(table) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0
-    if _walsh_hadamard(table) != squares:
+    # cancel); every mask has n - 2 bits (n if unrestricted), so none collide
+    # mod 2^(k-1)
+    if squares != (len(table) * 2 * math.factorial(n - 1) if n % 2 == 0 else 0):
         raise AssertionError(f"order-{n} cyclic-index table fails its Parseval check")
     table.flags.writeable = False
-    return table
+    return table, n << shift
 
 
 def _walsh_hadamard(c: np.ndarray) -> int:
     """Unnormalised Walsh-Hadamard transform of c (length 2^k) in place; returns sum out^2.
 
     out[m] = sum over S of c[S] (-1)^popcount(S & m), exact if c's dtype
-    holds sum |c|.  The stages commute: each 2^16-entry block runs those
-    across bits 5 and up, then the five lowest on a transposed copy (long
-    inner loops), and the stages across blocks run on one block's worth of
-    columns at a time, so no temporary exceeds a block.  Checked
+    holds sum |c|.  The stages commute: those across bits 5 and up run on
+    c, the five lowest on a transposed copy (long inner loops).  Checked
     (AssertionError): sum(out) = 2^k c[0] and sum out^2 = 2^k sum c^2.
     """
     c0, squares = int(c[0]), len(c) * np.einsum("i,i->", c, c, dtype=np.int64)  # no int64 copy
-    rows = c.reshape(-1, min(len(c), 1 << 16))
-    low = min(bits := rows.shape[1].bit_length() - 1, 5)
-    for block in rows:
-        for h in range(low, bits):
-            _butterfly(block, h)
-        t = block.reshape(-1, 1 << low).T.copy()  # bit h < low of block is bit h of t's rows
-        for h in range(low):
-            _butterfly(t, h)
-        block.reshape(-1, 1 << low)[...] = t.T
-    for panel in np.split(rows, len(rows), axis=1):  # one block's worth of columns
-        for h in range(len(rows).bit_length() - 1):
-            _butterfly(panel, h)
+    low = min(bits := len(c).bit_length() - 1, 5)
+    for h in range(low, bits):
+        _butterfly(c, h)
+    t = c.reshape(-1, 1 << low).T.copy()  # bit h < low of c is bit h of t's rows
+    for h in range(low):
+        _butterfly(t, h)
+    c.reshape(-1, 1 << low)[...] = t.T
     if c.sum(dtype=np.int64) != len(c) * c0 or np.einsum("i,i->", c, c, dtype=np.int64) != squares:
         raise AssertionError(f"length-{len(c)} Walsh-Hadamard transform fails its Parseval check")
     return int(squares)
@@ -486,22 +513,26 @@ def _butterfly(x: np.ndarray, h: int) -> None:
 def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.ndarray:
     """Cyclic indices for a batch of enumeration masks, as int64.
 
-    Cycl is multilinear in the free signs, so n times one Walsh-Hadamard
-    transform of its (n-1)! tour coefficients (``_cycle_sum_table``) holds
-    the value at every mask; a batch is one gather from that half table at
-    the smaller of each mask and its complement.  A mask outside [0, 2^k)
-    raises ValueError.
+    Cycl is multilinear in the free signs, so one Walsh-Hadamard transform
+    of its (n-1)! tour coefficients (``_cycle_sum_table``, int8 quotients
+    times its unit) holds the value at every mask; a batch is one gather
+    from that half table at the smaller of each mask and its complement.
+    A mask array that is not of an integer dtype (floats, NaN) or holds a
+    mask outside [0, 2^k) raises ValueError.
     """
-    table = _cycle_sum_table(n, restrict)
+    masks = np.asarray(masks)
+    if masks.dtype.kind not in "iu":
+        raise ValueError(f"masks must be integers, got dtype {masks.dtype}")
+    table, unit = _cycle_sum_table(n, restrict)
     full = 2 * len(table) - 1
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = masks.astype(np.int64, copy=False)
     if masks.size and not 0 <= masks.min() <= masks.max() <= full:
         raise ValueError(f"masks must lie in [0, {full + 1})")
     idx = masks ^ full  # the one batch-sized index: each mask's complement, then the smaller
     np.minimum(idx, masks, out=idx)
     vals = table[idx]
     del idx
-    return np.multiply(vals, n, dtype=np.int64)
+    return np.multiply(vals, unit, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -551,14 +582,14 @@ def _scan_chunk(n: int, restrict: bool, lo: int, hi: int) -> dict:
     complements, entry i being mask 2^k - 1 - i (a reversed view scans
     about 3x slower); a chunk may straddle the middle.
     """
-    table = _cycle_sum_table(n, restrict)
+    table, unit = _cycle_sum_table(n, restrict)
     half = len(table)
     below, above = table[lo : min(hi, half)], table[2 * half - hi : 2 * half - max(lo, half)]
     best = max(v.max() for v in (below, above) if v.size)
     hits = np.flatnonzero(below == best) + lo, (hi - 1 - np.flatnonzero(above == best))[::-1]
     return {
-        "max": n * int(best),
-        "min": n * int(min(v.min() for v in (below, above) if v.size)),
+        "max": unit * int(best),
+        "min": unit * int(min(v.min() for v in (below, above) if v.size)),
         "achievers": np.concatenate(hits).tolist(),
     }
 
@@ -628,7 +659,7 @@ def search_max_cyclic_index(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     t0 = time.time()
-    table = _cycle_sum_table(order, restrict_first_row)
+    table, unit = _cycle_sum_table(order, restrict_first_row)
     total = 2 * len(table)
     if checkpoint_path:
         step = min(chunk_size, total)
@@ -658,11 +689,11 @@ def search_max_cyclic_index(
     # compared in 2^16-mask slices, so no table-sized boolean temporary exists
     hits = [np.flatnonzero(table[i : i + 65536] == best) + i for i in range(0, len(table), 65536)]
     achievers = np.concatenate(hits + [(total - 1 - np.concatenate(hits))[::-1]])  # still sorted
-    gmax = order * int(best)
+    gmax = unit * int(best)
     return SearchReport(
         order=order,
         max_cyclic_index=gmax,
-        min_cyclic_index=order * int(table.min()),
+        min_cyclic_index=unit * int(table.min()),
         achiever_count=len(achievers),
         achiever_classes=tuple(_classify_achievers(order, achievers, restrict_first_row, gmax)),
         matrices_scanned=total,

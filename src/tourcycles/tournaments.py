@@ -348,9 +348,12 @@ def _walk_corrections(length: int) -> tuple[tuple[int, str, tuple], ...]:
     tournament, which drops every other partition for l <= 5.  Rotating pi
     leaves hom unchanged, so each rotation class is summed into one
     coefficient and zero coefficients are dropped.  A term is (coefficient,
-    einsum subscripts over the distinct quotient edges, greedy contraction
-    path); the path is derived once on l x l stand-ins for A, and every
-    path gives the same exact sum.
+    einsum subscripts over the distinct quotient edges, contraction steps).
+    The greedy path is derived once on l x l stand-ins for A and turned
+    into its pairwise steps, each (positions, two-operand subscripts): the
+    operands at those positions of the current list are removed and their
+    contraction, which keeps the letters still needed elsewhere, is
+    appended.  Every path gives the same exact sum.
     """
     coefficients: dict[tuple[int, ...], int] = {}
     for labels in _path_partitions(length):  # the others put a loop in the quotient
@@ -374,7 +377,14 @@ def _walk_corrections(length: int) -> tuple[tuple[int, str, tuple], ...]:
         # block b is subscript letter chr(97 + b): a, b, ... (at most 8 blocks)
         subscripts = ",".join(chr(97 + u) + chr(97 + v) for u, v in edges) + "->"
         path = np.einsum_path(subscripts, *[stand_in] * len(edges), optimize="greedy")[0]
-        terms.append((coefficient, subscripts, tuple(path)))
+        inputs, steps = subscripts[:-2].split(","), []
+        for pos in path[1:]:
+            pair = [inputs[p] for p in pos]
+            inputs = [x for p, x in enumerate(inputs) if p not in pos]
+            out = "".join(sorted(set("".join(pair)) & set("".join(inputs))))
+            inputs.append(out)
+            steps.append((pos, ",".join(pair) + "->" + out))
+        terms.append((coefficient, subscripts, tuple(steps)))
     return tuple(terms)
 
 
@@ -382,8 +392,10 @@ def _trace_cycle_count(t: Tournament, length: int) -> int:
     """Cycles of length 3 to 8 as closed-walk counts, in int64 arithmetic.
 
     tr(A^l) comes from int64 matrix powers, and the correction terms of
-    ``_walk_corrections`` (none for l <= 5) are contracted with their cached
-    paths and added in Python ints; the total is l times the cycle count.
+    ``_walk_corrections`` (none for l <= 5) are contracted by their cached
+    pairwise steps, one plain two-operand ``einsum`` each (no path search
+    or parsing of the whole term per call), and added in Python ints; the
+    total is l times the cycle count.
     Every term and every partial contraction counts at most n^l maps, so
     orders with n^l >= 2^63 are refused before the adjacency matrix is built.
     """
@@ -396,9 +408,13 @@ def _trace_cycle_count(t: Tournament, length: int) -> int:
     while len(powers) < length - length // 2:
         powers.append(powers[-1] @ a)
     total = int(np.einsum("ij,ji->", powers[length // 2 - 1], powers[-1]))
-    for coefficient, subscripts, path in _walk_corrections(length):
+    for coefficient, subscripts, steps in _walk_corrections(length):
         operands = [a] * (subscripts.count(",") + 1)
-        total += coefficient * int(np.einsum(subscripts, *operands, optimize=path))
+        for pos, pair in steps:
+            picked = [operands[p] for p in pos]
+            operands = [x for p, x in enumerate(operands) if p not in pos]
+            operands.append(np.einsum(pair, *picked))
+        total += coefficient * int(operands[0])
     return total // length
 
 

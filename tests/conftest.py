@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -161,6 +162,60 @@ def gather_orbit(a: np.ndarray) -> tuple[int, list[int]]:
         text += ((switch[perms[:, iu], perms[:, ju]] > 0) + ord("0")).astype(np.uint8).tobytes()
     numerals = [text[k : k + m] for k in range(0, len(text), m)]
     return min(int(r, 2) for r in numerals), sorted({int(r[::-1], 2) for r in numerals})
+
+
+@lru_cache(maxsize=None)
+def switching_class_count(n: int) -> int:
+    """Number of switching classes of n-vertex tournaments, by Burnside's lemma.
+
+    The group of relabellings sigma and vertex flips s acts on sign matrices
+    by B[i, j] -> s_i s_j B[sigma(i), sigma(j)], and the classes are its
+    orbits: (1/(n! 2^n)) sum over (sigma, s) of Fix(sigma, s).  Fix depends
+    on sigma only through its cycle type, so one sigma stands for the
+    n!/z_lambda of each type.  With B[i, j] = e(i, j) x_{ij} (e = +1 for
+    i < j, -1 otherwise, x one free sign per unordered pair), a fixed point
+    satisfies x_{ij} = s_i s_j e(i, j) e(sigma(i), sigma(j)) x_{sigma(i) sigma(j)};
+    following each orbit of unordered pairs back to its start, the product
+    of those factors must be +1, and then the orbit takes either sign.
+    """
+    total = 0
+    for cycles in _partitions(n, n):
+        sigma, start = [], 0
+        for length in cycles:
+            sigma += [start + (i + 1) % length for i in range(length)]
+            start += length
+        z = math.prod(k ** cycles.count(k) * math.factorial(cycles.count(k)) for k in set(cycles))
+        for flips in range(1 << n):
+            s = [1 - 2 * (flips >> v & 1) for v in range(n)]
+            seen, fixed = set(), 1
+            for pair in combinations(range(n), 2):
+                if pair in seen:
+                    continue
+                (i, j), product = pair, 1
+                while True:
+                    seen.add((min(i, j), max(i, j)))
+                    u, v = sigma[i], sigma[j]
+                    product *= s[i] * s[j] * (1 if i < j else -1) * (1 if u < v else -1)
+                    i, j = u, v
+                    if (min(i, j), max(i, j)) == pair:
+                        break
+                fixed = 2 * fixed if product == 1 else 0
+                if not fixed:
+                    break
+            total += math.factorial(n) // z * fixed
+    count, rest = divmod(total, math.factorial(n) << n)
+    assert rest == 0
+    return count
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most ``largest``, each a tuple in decreasing order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
 # pi to 50 places, rounded up, so it lies above pi and (2/pi)^l keeps full

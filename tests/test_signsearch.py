@@ -39,6 +39,7 @@ from conftest import (
     brute_cycle_sum,
     brute_slice_masks,
     gather_orbit,
+    switching_class_count,
     traced_peak,
 )
 
@@ -259,8 +260,8 @@ class TestCyclicIndex:
     @pytest.mark.parametrize("n, restrict", [(6, True), (8, True), (4, False)])
     def test_skipped_transform_stage_fails_parseval_check(self, monkeypatch, n, restrict):
         # every _butterfly call across bit 2 is skipped: the stage across bit 2
-        # of every block (and at order 8, with 16 blocks, also the cross-block
-        # stage across bit 2 of the block index)
+        # of every block (at order 8 the 16 blocks' own stages across bits 16
+        # and up are the fold's signs, which no butterfly applies)
         real = signsearch._butterfly
 
         def skip_stage_2(x, h):
@@ -272,7 +273,7 @@ class TestCyclicIndex:
             _cycle_sum_table.__wrapped__(n, restrict)
 
     def test_table_is_read_only(self):
-        table = _cycle_sum_table(4, True)
+        table, _ = _cycle_sum_table(4, True)
         with pytest.raises(ValueError):
             table[0] = 0
         vals = batch_cyclic_index(4, np.arange(8))
@@ -280,24 +281,59 @@ class TestCyclicIndex:
         assert batch_cyclic_index(4, np.arange(8)).tolist() == [8, 8, -24, 8, 8, -24, 8, 8]
 
     def test_order8_table_holds_half_the_masks(self):
-        table = _cycle_sum_table(8, True)
-        assert table.nbytes == 2_097_152 and not table.flags.writeable
+        table, unit = _cycle_sum_table(8, True)
+        assert (table.dtype, table.nbytes, unit) == (np.int8, 1_048_576, 128)
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
 
+    @pytest.mark.parametrize("n, restrict, unit", [
+        (3, True, 3), (4, True, 8), (5, True, 5), (6, True, 96), (7, True, 7), (8, True, 128),
+        (3, False, 3), (4, False, 8), (5, False, 5), (6, False, 96), (7, False, 7),
+    ])
+    def test_table_unit(self, n, restrict, unit):
+        # unit = n * 2^s: the table holds Cycl / unit exactly, in int8
+        table, got = _cycle_sum_table(n, restrict)
+        assert got == unit and table.dtype == np.int8
+        if n % 2:
+            assert not table.any()
+        else:  # the lattice is tight: some entry is an odd multiple of the unit
+            assert np.any(table % 2)
+
+    @pytest.mark.parametrize("value, match", [
+        (17, "not a multiple of 2\\^4"),  # every order-8 entry is a multiple of 16
+        (16 * 128, "exceeds int8"),  # on the lattice, but the quotient leaves int8
+    ], ids=["off-lattice", "outside-int8"])
+    def test_table_block_checked_before_caching(self, monkeypatch, value, match):
+        real = signsearch._walsh_hadamard
+        calls = []
+
+        def nudged(c):
+            squares = real(c)
+            calls.append(len(c))
+            if len(calls) == 3:  # a block after the first, which sets the shift
+                c[5] = value
+            return squares
+
+        monkeypatch.setattr(signsearch, "_walsh_hadamard", nudged)
+        with pytest.raises(AssertionError, match=match):
+            _cycle_sum_table.__wrapped__(8, True)
+        assert calls == [1 << 16] * 3
+
     def test_order8_table_build_memory(self):
-        # the int16 half table is 2 MiB; the int8 and int32 tour coefficients and
-        # the blocked transform add less than half a MiB more
-        assert traced_peak(_cycle_sum_table.__wrapped__, 8, True) < 5 << 19
+        # the int8 half table is 1 MiB; the tour coefficients, one int16 2^16-entry
+        # block and its transform's copy add about half a MiB more
+        assert traced_peak(_cycle_sum_table.__wrapped__, 8, True) < 1_887_436  # 1.8 MiB
 
     def test_order8_gather_memory(self):
         # 2^16 masks straddling the middle of the table: beside the caller's masks,
-        # the int16 values (128 KiB) and one int64 array (512 KiB), first the
-        # index and then the result
+        # the int8 values (64 KiB) and one int64 array (512 KiB), first the index
+        # and then the result; the int64 arrays set the peak, so an int32 index
+        # would not lower it
         masks = np.arange((1 << 20) - (1 << 15), (1 << 20) + (1 << 15), dtype=np.int64)
         vals = batch_cyclic_index(8, masks)  # also builds the cached table
         assert np.array_equal(vals, vals[::-1])  # entry i and entry -1-i are complements
-        assert traced_peak(batch_cyclic_index, 8, masks) < 768 << 10
+        assert traced_peak(batch_cyclic_index, 8, masks) < 672 << 10
 
     def test_transform_checks_itself(self, monkeypatch):
         c = np.random.default_rng(26).integers(-3, 4, size=1 << 17).astype(np.int32)
@@ -468,9 +504,14 @@ class TestCanonicalForm:
         _, _, w, const = signsearch._switch_packing(8)
         assert (w.shape, w.nbytes, const.nbytes) == ((21, 5040), 423_360, 20_160)
 
-    @pytest.mark.parametrize("n,classes", [(3, 1), (4, 2), (5, 2), (6, 6), (7, 12), (8, 79)])
+    def test_burnside_class_counts(self):
+        # switching classes of tournaments (Babai and Cameron, 2000), n = 2 ... 8
+        assert [switching_class_count(n) for n in range(2, 9)] == [1, 1, 2, 2, 6, 12, 79]
+
+    @pytest.mark.parametrize("n,classes", [(n, switching_class_count(n)) for n in range(3, 9)])
     def test_orbits_partition_the_slice(self, n, classes):
-        # every restricted mask passes through one _orbit call's bit reversal
+        # every restricted mask passes through one _orbit call's bit reversal, and
+        # the sweep finds the Burnside number of classes
         covered = np.zeros(1 << math.comb(n - 1, 2), dtype=bool)
         values = []
         while not covered.all():
@@ -596,6 +637,12 @@ class TestSearch:
     def test_batch_mask_outside_range_refused(self, masks, restrict):
         with pytest.raises(ValueError):
             batch_cyclic_index(4, np.array(masks), restrict)
+
+    @pytest.mark.parametrize("masks", [[1.7, 2.2], [np.nan]], ids=["fractional", "nan"])
+    def test_batch_non_integer_masks_refused(self, masks):
+        # a cast would truncate 1.7 and 2.2 to masks 1 and 2, and warn on NaN
+        with pytest.raises(ValueError, match="masks must be integers"):
+            batch_cyclic_index(8, np.array(masks))
 
     def test_batch_mask_outside_range_refused_order8(self):
         # the range is 2^21 masks, not the 2^20 the half table stores
