@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's algorithms: cycles and
 weighted cycle sums are found by enumerating cyclic arrangements, 4-vertex
 types are matched by explicit isomorphism search, canonical forms and
 slice orbits are read off every relabelling and flip vector (at orders 7
-and 8, off every relabelled root switch packed with Python ints), and the
+and 8, off every relabelled root switch packed with Python ints), the
+switching classes are counted by Burnside's lemma over cycle types, and the
 conjectured constants are summed from their defining series, so they can
 vouch for the faster paths.  ``dp_cycle_count`` is the one helper that runs
 a library algorithm, ``cycle_sum`` on every l-subset: a second route to the

@@ -320,6 +320,14 @@ class TestCyclicIndex:
             _cycle_sum_table.__wrapped__(8, True)
         assert calls == [1 << 16] * 3
 
+    def test_table_parseval_sum_checked(self, monkeypatch):
+        # the blocks' sums of squares must add up to the closed form: a wrong
+        # fold sign breaks that sum while each block's own transform checks out
+        real = signsearch._walsh_hadamard
+        monkeypatch.setattr(signsearch, "_walsh_hadamard", lambda c: real(c) + 1)
+        with pytest.raises(AssertionError, match="order-8 cyclic-index table fails its Parseval"):
+            _cycle_sum_table.__wrapped__(8, True)
+
     def test_order8_table_build_memory(self):
         # the int8 half table is 1 MiB; the tour coefficients, one int16 2^16-entry
         # block and its transform's copy add about half a MiB more
