@@ -31,9 +31,11 @@ relabellings of the n switches are the first-row-+1 members of the class.
 M_p is skew, so each relabelling's packed code is linear in M_p's 0/1
 upper triangle: one cached weight matrix per order packs all n! of them
 by one float32 matrix product, exact because every weight is a signed
-power of two and each column sums below 2^24.  The codes give the canonical
-form, whose equality decides ``sign_equivalent``, and reversed, the slice
-masks that classify the achievers.
+power of two and each column sums below 2^24.  An enumeration mask is
+the low bits of ``SkewSignMatrix.bits``, the free pairs being the last in
+row-major order, so the codes are the slice masks that classify the
+achievers, and the smallest, read with a -1 first row, is the canonical
+form, whose equality decides ``sign_equivalent``.
 """
 
 from __future__ import annotations
@@ -218,26 +220,26 @@ def _switch_packing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     x[p, t] = M_p[u, v] > 0 is the 0/1 upper triangle of root switch p.  M_p
     is skew, so relabelling q reads pair t = (i, j) at (q(i), q(j)) as x at
     that pair when q(i) < q(j) and as 1 - x at the mirrored pair otherwise.
-    Its ``SkewSignMatrix`` bits (free pairs only) are therefore
-    const[q] + x[p] @ w[:, q]: w is (21, 5 040) float32 at order 8.  Every
-    weight is +/-2^k and each column's |w| sums to at most 2^21 - 1 < 2^24,
-    so every partial sum of a float32 product is an exact integer whatever
-    order it is summed in.  w is filled one pair at a time, so no (P, m)
-    temporary exists.
+    Pair t weighs 1 << (k-1-t), k = binom(n-1, 2), its slice-mask bit, so
+    that mask is const[q] + x[p] @ w[:, q]: w is (21, 5 040) float32 at
+    order 8.  Every weight is +/-2^t and each column's |w| sums to
+    2^k - 1 < 2^24, so every partial sum of a float32 product is an exact
+    integer whatever order it is summed in.  w is filled one pair at a
+    time, so no (P, k) temporary exists.
     """
     iu, ju = _triu(n - 1)
     rank = np.zeros((n - 1, n - 1), dtype=np.int64)
     rank[iu, ju] = rank[ju, iu] = np.arange(len(iu))
     perms = _all_perms(n - 1)
     cols = np.arange(len(perms))
-    weights = _pack_weights(n, True)[n - 1 :, 0]
     w = np.zeros((len(iu), len(perms)), dtype=np.float32)
     const = np.zeros(len(perms), dtype=np.float32)
     for t, (i, j) in enumerate(zip(iu, ju)):
         qi, qj = perms[:, i], perms[:, j]
         flip = qi > qj
-        w[rank[qi, qj], cols] = np.where(flip, -weights[t], weights[t])
-        const += flip * weights[t]
+        weight = 1 << (len(iu) - 1 - t)
+        w[rank[qi, qj], cols] = np.where(flip, -weight, weight)
+        const += flip * weight
     k = np.arange(n - 1)
     rest = k + (k >= np.arange(n)[:, None])  # rest[p]: the vertices other than p
     u, v = rest[:, iu], rest[:, ju]
@@ -250,9 +252,9 @@ def _switch_codes(b: SkewSignMatrix) -> np.ndarray:
     """Packed codes of every relabelled root switch, int32 of shape (n, (n-1)!).
 
     Root p's switch M_p[u, v] = A[p, u] A[p, v] A[u, v] lives on the n - 1
-    vertices other than p; column q of row p holds the ``SkewSignMatrix``
-    bits of M_p relabelled by the q-th permutation (the first is the
-    identity).  One float32 product of the n upper triangles with
+    vertices other than p; column q of row p holds the slice mask of M_p
+    relabelled by the q-th permutation (the first is the identity).  One
+    float32 product of the n upper triangles with
     ``_switch_packing``'s weights (8 x 21 x 5 040), by ``einsum``'s
     single-threaded loop: a threaded BLAS sgemm of twice that width waited
     about 8 ms for its second thread in most fresh processes on a 2-vCPU
@@ -265,24 +267,6 @@ def _switch_codes(b: SkewSignMatrix) -> np.ndarray:
     codes = np.einsum("pt,tc->pc", x, w)
     codes += const
     return codes.astype(np.int32)
-
-
-def _reverse_bits(x: np.ndarray, k: int) -> np.ndarray:
-    """Reverse the low k bits of each entry of int32 x (all below 2^k) in place; returns x.
-
-    Five swap stages reverse all 32 bits of the uint32 view through one
-    scratch buffer; a logical shift by 32 - k drops the high zeros.
-    """
-    y = x.view(np.uint32)
-    tmp = np.empty_like(y)
-    for s, m in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F), (8, 0x00FF00FF), (16, 0xFFFF)):
-        np.right_shift(y, s, out=tmp)
-        tmp &= m
-        y &= m
-        y <<= s
-        y |= tmp
-    y >>= 32 - k
-    return x
 
 
 def transform_sign_matrix(b: SkewSignMatrix, perm, flips) -> SkewSignMatrix:
@@ -316,7 +300,7 @@ def sign_equivalent(b1: SkewSignMatrix, b2: SkewSignMatrix) -> bool:
 def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
     """Lexicographically smallest packed encoding over the sign-equivalence orbit.
 
-    The minimum of the codes of ``_switch_codes`` (see ``_orbit``): one
+    The smallest slice mask of ``_switch_codes`` (see ``_orbit``): one
     float32 product, 8 x 21 x 5 040 at order 8.
     """
     if b.n > ORACLE_MAX_ORDER:
@@ -328,47 +312,29 @@ def canonical_form(b: SkewSignMatrix) -> SkewSignMatrix:
 # exhaustive search
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pack_weights(n: int, restrict: bool) -> np.ndarray:
-    """Int32 weights that pack upper-triangle sign patterns by one matmul, shape (m, 2).
-
-    The one statement of the bit layouts.  Row t is pair t of ``_triu(n)``,
-    row-major.  Column 0 holds 1 << (m-1-t), its ``SkewSignMatrix`` bit;
-    column 1 holds 1 << r when the pair is the r-th free pair, its
-    enumeration-mask bit.  The free pairs are those off the first row when
-    ``restrict`` (i >= 1), else all, in the same row-major order; there are
-    binom(n - restrict, 2) of them.  Orders up to 8 (m <= 28) fit in int32.
-    """
-    m = n * (n - 1) // 2
-    if n > ORACLE_MAX_ORDER:
-        raise ValueError(f"mask and orbit packing limited to order {ORACLE_MAX_ORDER}")
-    w = np.zeros((m, 2), dtype=np.int32)
-    w[:, 0] = 1 << np.arange(m - 1, -1, -1)
-    free = np.flatnonzero(_triu(n)[0] >= restrict)
-    w[free, 1] = 1 << np.arange(len(free))
-    w.flags.writeable = False
-    return w
-
-
 def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
-    """Matrix for an enumeration mask; bit t of ``mask`` is the t-th free pair, 1 = +1.
+    """Matrix whose bits are the enumeration mask below a +1 first row.
 
-    Pairs outside the free set (the first row, when restricted) are +1; a
-    mask outside [0, 2^k) raises ValueError.
+    The free pairs (off the first row when ``restrict``, else all) are the
+    last k = binom(n - restrict, 2) in row-major order, so the mask is the
+    low k bits; a mask outside [0, 2^k) or an order above 8 raises ValueError.
     """
-    w = _pack_weights(n, restrict)
-    if not 0 <= mask < 1 << math.comb(n - restrict, 2):
+    if n > ORACLE_MAX_ORDER:
+        raise ValueError(f"mask packing limited to order {ORACLE_MAX_ORDER}")
+    k = math.comb(n - restrict, 2)
+    if not 0 <= mask < 1 << k:
         raise ValueError(f"mask {mask} is outside the order-{n} enumeration")
-    plus = (w[:, 1] == 0) | ((mask & w[:, 1]) != 0)
-    return SkewSignMatrix(n, int(w[plus, 0].sum()))
+    return SkewSignMatrix(n, int((1 << math.comb(n, 2)) - (1 << k) | mask))
 
 
 def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
-    a = b.to_array()
-    if restrict and np.any(a[0, 1:] != 1):
+    """The low k = binom(n - restrict, 2) bits of b; ValueError if a first-row pair is -1."""
+    if b.n > ORACLE_MAX_ORDER:
+        raise ValueError(f"mask packing limited to order {ORACLE_MAX_ORDER}")
+    k = math.comb(b.n - restrict, 2)
+    if b.bits >> k != (1 << (b.num_pairs - k)) - 1:
         raise ValueError("matrix is outside the first-row +1 slice")
-    upper = a[_triu(b.n)]
-    return int((upper > 0) @ _pack_weights(b.n, restrict)[:, 1])
+    return b.bits & ((1 << k) - 1)
 
 
 def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
@@ -376,21 +342,18 @@ def _orbit(b: SkewSignMatrix) -> tuple[int, np.ndarray]:
 
     A class member with a +1 first row maps some root p to vertex 0, which
     forces its flips up to a global sign, so its free pairs are the root
-    switch M_p relabelled.  The smallest packing of a relabelling forces
-    the first row to -1 instead, which changes no free pair (each is
-    s_i s_j A_ij with the same sign product), so the canonical bits are the
-    minimum of ``_switch_codes``.  A code's k = binom(n-1, 2) bits are its
-    slice mask reversed (``_pack_weights``), so the codes are reversed and
-    sorted in place, then deduplicated by one compare.
+    switch M_p relabelled, whose codes (``_switch_codes``) are the slice
+    masks.  The smallest packing forces the first row to -1 instead, which
+    changes no free pair (each is s_i s_j A_ij with the same sign product),
+    so the smallest mask is the canonical bits.  The codes are sorted in
+    place and deduplicated by one compare.
     """
-    codes = _switch_codes(b)
-    bits = int(codes.min())
-    masks = _reverse_bits(codes.ravel(), math.comb(b.n - 1, 2))
+    masks = _switch_codes(b).ravel()
     masks.sort()
     keep = np.ones(masks.size, dtype=bool)
     np.not_equal(masks[1:], masks[:-1], out=keep[1:])
     # compress, not a boolean index: about 3x faster on the 40 320 order-8 masks
-    return bits, masks.compress(keep)
+    return int(masks[0]), masks.compress(keep)
 
 
 @lru_cache(maxsize=None)
@@ -430,8 +393,8 @@ def _cycle_sum_table(n: int, restrict: bool) -> tuple[np.ndarray, int]:
     k = math.comb(n - restrict, 2)
     if k > 21:
         raise ValueError(f"cyclic-index table over 2^{k} masks exceeds 2^21")
-    bit = np.zeros((n, n), dtype=np.int32)
-    bit[_triu(n)] = _pack_weights(n, restrict)[:, 1]
+    bit = np.zeros((n, n), dtype=np.int32)  # each free pair's mask bit, 0 for the first row
+    bit[_triu(n)] = (1 << np.arange(math.comb(n, 2) - 1, -1, -1)) & ((1 << k) - 1)
     bit += bit.T
     # free pair i < j: A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit; fixed
     # first-row entries (bit 0): A[0, j] = +1, A[j, 0] = -1

@@ -347,7 +347,7 @@ def _walk_corrections(length: int) -> tuple[tuple[int, str, tuple], ...]:
     gives tr(A^l).  A quotient with a loop or a 2-cycle has no map into a
     tournament, which drops every other partition for l <= 5.  Rotating pi
     leaves hom unchanged, so each rotation class is summed into one
-    coefficient and zero coefficients are dropped.  A term is (coefficient,
+    coefficient, none of them zero for l = 6 ... 8.  A term is (coefficient,
     einsum subscripts over the distinct quotient edges, contraction steps).
     The greedy path is derived once on l x l stand-ins for A and turned
     into its pairwise steps, each (positions, two-operand subscripts): the
@@ -371,8 +371,6 @@ def _walk_corrections(length: int) -> tuple[tuple[int, str, tuple], ...]:
     stand_in = np.broadcast_to(np.int64(0), (length, length))
     terms = []
     for labels, coefficient in sorted(coefficients.items()):
-        if not coefficient:
-            continue
         edges = sorted({(labels[i - 1], labels[i]) for i in range(length)})
         # block b is subscript letter chr(97 + b): a, b, ... (at most 8 blocks)
         subscripts = ",".join(chr(97 + u) + chr(97 + v) for u, v in edges) + "->"

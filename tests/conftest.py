@@ -126,8 +126,8 @@ def brute_slice_masks(a: np.ndarray) -> list[int]:
 
     Every one of the n! * 2^n relabellings and flip vectors is applied (as
     in ``brute_canonical_bits``); the copies whose first row is all +1 are
-    kept, and each is packed with bit t for the t-th pair (i, j), 1 <= i < j,
-    in row-major order, set for +1.
+    kept, and each is packed with bit k-1-t for the t-th of the k pairs
+    (i, j), 1 <= i < j, in row-major order, set for +1.
     """
     n = len(a)
     perms = np.array(list(permutations(range(n))))
@@ -137,7 +137,7 @@ def brute_slice_masks(a: np.ndarray) -> list[int]:
     copies = (entries[:, None, :] * (flips[:, iu] * flips[:, ju])[None, :, :]).reshape(-1, len(iu))
     first = iu == 0
     kept = copies[np.all(copies[:, first] > 0, axis=1)][:, ~first]
-    return sorted({sum(1 << t for t, x in enumerate(row) if x > 0) for row in kept})
+    return sorted({sum(1 << (len(row) - 1 - t) for t, x in enumerate(row) if x > 0) for row in kept})
 
 
 def gather_orbit(a: np.ndarray) -> tuple[int, list[int]]:
@@ -146,10 +146,10 @@ def gather_orbit(a: np.ndarray) -> tuple[int, list[int]]:
     Root p's switch M_p[u, v] = a[p, u] a[p, v] a[u, v] on the other n - 1
     vertices is relabelled by each (n-1)! permutation q through one int8
     gather of M_p[q(i), q(j)], i < j.  Each relabelled upper triangle is
-    read as a binary numeral by ``int``: first pair most significant for
-    the ``SkewSignMatrix`` bits (the first row, -1 in the smallest member,
-    adds no bit), first pair least significant for the slice mask.  No
-    fixed-width arithmetic touches a code, so it reaches order 8 exactly.
+    read as a binary numeral by ``int``, first pair most significant: the
+    slice mask, and the ``SkewSignMatrix`` bits of the member whose first
+    row is -1, which adds no bit.  No fixed-width arithmetic touches a
+    code, so it reaches order 8 exactly.
     """
     a = np.asarray(a, dtype=np.int8)
     n = len(a)
@@ -162,7 +162,7 @@ def gather_orbit(a: np.ndarray) -> tuple[int, list[int]]:
         switch = a[p, rest][:, None] * a[p, rest][None, :] * a[np.ix_(rest, rest)]
         text += ((switch[perms[:, iu], perms[:, ju]] > 0) + ord("0")).astype(np.uint8).tobytes()
     numerals = [text[k : k + m] for k in range(0, len(text), m)]
-    return min(int(r, 2) for r in numerals), sorted({int(r[::-1], 2) for r in numerals})
+    return min(int(r, 2) for r in numerals), sorted({int(r, 2) for r in numerals})
 
 
 @lru_cache(maxsize=None)

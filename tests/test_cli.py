@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -51,6 +52,10 @@ class TestCount:
         base = run_cli(*args)
         multi = run_cli(*args, "--workers", "4")
         assert multi == base and base[0] == EXIT_OK
+
+    def test_short_length_is_usage_error(self):
+        code, out, err = run_cli("count", "--carousel", "5", "--length", "2")
+        assert (code, out) == (EXIT_USAGE, "") and "cycle length must be >= 3" in err
 
     def test_zero_workers_is_usage_error(self):
         code, out, err = run_cli("count", "--random", "8", "--workers", "0")
@@ -127,6 +132,12 @@ class TestProfile4:
         rep = json.loads(out)
         assert (rep["t4"], rep["c4"], rep["l4"], rep["w4"]) == (5, 0, 0, 0)
 
+    def test_text_format_is_aligned(self):
+        # each column is as wide as its widest cell, left-aligned, two spaces apart
+        code, out, _ = run_cli("profile4", "--transitive", "4", "--format", "text")
+        assert code == EXIT_OK
+        assert out == "n  t4  c4  l4  w4  total\n4  1   0   0   0   1    \n"
+
 
 class TestVerifyLemma:
     def test_order4_confirms(self):
@@ -162,22 +173,18 @@ class TestVerifyLemma:
         from tourcycles import signsearch
         from tourcycles.signsearch import search_max_cyclic_index
 
-        def doctored(order, **kwargs):
-            real = search_max_cyclic_index(order, **kwargs)
-            return type(real)(
-                order=real.order,
-                max_cyclic_index=real.max_cyclic_index,
-                min_cyclic_index=real.min_cyclic_index,
-                achiever_count=real.achiever_count,
-                achiever_classes=(),  # drop the classes: report now disagrees
-                matrices_scanned=real.matrices_scanned,
-                elapsed_seconds=real.elapsed_seconds,
-                restricted_first_row=real.restricted_first_row,
-            )
+        # every doctored report drops the classes (a report's classes must
+        # attain its max); the second also raises the max by 4
+        for raise_max, line in ((0, "MISMATCH: 0 classes != 1"), (4, "MISMATCH: max 12 != 8")):
+            def doctored(order, **kwargs):
+                real = search_max_cyclic_index(order, **kwargs)
+                return dataclasses.replace(
+                    real, max_cyclic_index=real.max_cyclic_index + raise_max, achiever_classes=()
+                )
 
-        monkeypatch.setattr(signsearch, "search_max_cyclic_index", doctored)
-        code, _, err = run_cli("verify-lemma", "--order", "4")
-        assert code == EXIT_MISMATCH and "MISMATCH" in err
+            monkeypatch.setattr(signsearch, "search_max_cyclic_index", doctored)
+            code, _, err = run_cli("verify-lemma", "--order", "4")
+            assert code == EXIT_MISMATCH and line in err
 
     def test_checkpoint_file_written(self, tmp_path):
         path = tmp_path / "ck.json"

@@ -58,14 +58,14 @@ def order8_achievers() -> list[int]:
 
 
 def sign_tensor(n: int, masks: np.ndarray, restrict: bool) -> np.ndarray:
-    """Sign matrices of enumeration masks, shape (n, n, batch); bit t = t-th free pair."""
+    """Sign matrices of enumeration masks, shape (n, n, batch); bit k-1-t = t-th free pair."""
     w = np.zeros((n, n, len(masks)), dtype=np.int8)
     if restrict:
         w[0, 1:] = 1
         w[1:, 0] = -1
     free = [(i, j) for i in range(1 if restrict else 0, n) for j in range(i + 1, n)]
     for t, (i, j) in enumerate(free):
-        s = ((masks >> t) & 1) * 2 - 1
+        s = ((masks >> (len(free) - 1 - t)) & 1) * 2 - 1
         w[i, j] = s
         w[j, i] = -s
     return w
@@ -502,11 +502,17 @@ class TestCanonicalForm:
         # the int32 codes plus compress's intp index of the kept masks: 444 128 B traced
         assert traced_peak(_orbit, fx.d8_alt) < 460_000
 
-    @pytest.mark.parametrize("n", range(3, 9))
-    def test_slice_mask_is_the_reversed_bits(self, n):
-        w = signsearch._pack_weights(n, True)[n - 1 :]
-        masks = w[:, 1].copy()
-        assert signsearch._reverse_bits(masks, math.comb(n - 1, 2)).tolist() == w[:, 0].tolist()
+    @pytest.mark.parametrize("n,restrict", [(n, r) for n in range(3, 9) for r in (True, False)])
+    def test_mask_is_the_low_bits(self, n, restrict):
+        # a mask is the matrix's bits below the +1 first row, read by the test-built tensor
+        m, k = math.comb(n, 2), math.comb(n - restrict, 2)
+        rng = np.random.default_rng(70 + n)
+        masks = [0, 1, 1 << (k - 1), (1 << k) - 1, *rng.integers(0, 1 << k, size=5).tolist()]
+        for mask in masks:
+            b = mask_to_matrix(n, mask, restrict)
+            assert b.bits == (1 << m) - (1 << k) | mask
+            assert matrix_to_mask(b, restrict) == mask
+            assert np.array_equal(b.to_array(), sign_tensor(n, np.array([mask]), restrict)[:, :, 0])
 
     def test_order8_packing_holds_the_bits_columns_alone(self):
         _, _, w, const = signsearch._switch_packing(8)
@@ -518,8 +524,8 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n,classes", [(n, switching_class_count(n)) for n in range(3, 9)])
     def test_orbits_partition_the_slice(self, n, classes):
-        # every restricted mask passes through one _orbit call's bit reversal, and
-        # the sweep finds the Burnside number of classes
+        # every restricted mask is a code of exactly one _orbit call, and the
+        # sweep finds the Burnside number of classes
         covered = np.zeros(1 << math.comb(n - 1, 2), dtype=bool)
         values = []
         while not covered.all():

@@ -135,6 +135,19 @@ class TestTournamentType:
         with pytest.raises(ValueError):
             Tournament(3, (0b010, 0b100, 0b000))
 
+    @pytest.mark.parametrize("build,args,message", [
+        (Tournament, (0, ()), "at least one vertex"),
+        (Tournament, (3, (0b010, 0b100)), "length does not match"),
+        (Tournament, (2, (0b100, 0b000)), "references vertices >= n"),
+        (Tournament, (3, (0b010, 0b001, 0b001)), r"pair \(0,1\) must have exactly one"),
+        (parse_tournament, ("",), "empty tournament file"),
+        (parse_tournament, ("3\n010\n01\n100\n",), "row 1 must be 3 characters"),
+    ], ids=["no-vertex", "out-length", "bit-above-n", "both-orientations", "empty-file",
+            "row-width"])
+    def test_refuses_malformed_input(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
     def test_degree_sequence_invariant(self):
         t = make_carousel(7)
         ds = t.degree_sequence()
@@ -297,6 +310,12 @@ class TestTraceForm:
         terms = _walk_corrections(6)
         got = {c: int(np.einsum(subs, *[a] * (subs.count(",") + 1))) for c, subs, _ in terms}
         assert len(terms) == 3 and got == want
+
+    def test_correction_term_counts(self):
+        # one term per rotation class of the partitions kept; none sums to zero
+        terms = [_walk_corrections(length) for length in (6, 7, 8)]
+        assert [len(t) for t in terms] == [3, 4, 13]
+        assert all(coefficient != 0 for t in terms for coefficient, _, _ in t)
 
     # the least n with n^l >= 2^63: (n-1)^l is still below it
     @pytest.mark.parametrize(
