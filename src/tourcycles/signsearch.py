@@ -393,7 +393,7 @@ def _cycle_sum_table(n: int, restrict: bool) -> tuple[np.ndarray, int]:
     k = math.comb(n - restrict, 2)
     if k > 21:
         raise ValueError(f"cyclic-index table over 2^{k} masks exceeds 2^21")
-    bit = np.zeros((n, n), dtype=np.int32)  # each free pair's mask bit, 0 for the first row
+    bit = np.zeros((n, n), dtype=np.int32)  # each pair's mask bit, 0 on a fixed first row
     bit[_triu(n)] = (1 << np.arange(math.comb(n, 2) - 1, -1, -1)) & ((1 << k) - 1)
     bit += bit.T
     # free pair i < j: A[i, j] = x_e = -(-1)^bit, A[j, i] = (-1)^bit; fixed
