@@ -317,10 +317,11 @@ def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
 
     The free pairs (off the first row when ``restrict``, else all) are the
     last k = binom(n - restrict, 2) in row-major order, so the mask is the
-    low k bits; a mask outside [0, 2^k) or an order above 8 raises ValueError.
+    low k bits; a mask outside [0, 2^k) or an order above ``MAX_ORDER``
+    raises ValueError.
     """
-    if n > ORACLE_MAX_ORDER:
-        raise ValueError(f"mask packing limited to order {ORACLE_MAX_ORDER}")
+    if n > MAX_ORDER:
+        raise ValueError(f"mask packing limited to order {MAX_ORDER}")
     k = math.comb(n - restrict, 2)
     if not 0 <= mask < 1 << k:
         raise ValueError(f"mask {mask} is outside the order-{n} enumeration")
@@ -329,8 +330,6 @@ def mask_to_matrix(n: int, mask: int, restrict: bool = True) -> SkewSignMatrix:
 
 def matrix_to_mask(b: SkewSignMatrix, restrict: bool = True) -> int:
     """The low k = binom(n - restrict, 2) bits of b; ValueError if a first-row pair is -1."""
-    if b.n > ORACLE_MAX_ORDER:
-        raise ValueError(f"mask packing limited to order {ORACLE_MAX_ORDER}")
     k = math.comb(b.n - restrict, 2)
     if b.bits >> k != (1 << (b.num_pairs - k)) - 1:
         raise ValueError("matrix is outside the first-row +1 slice")

@@ -3,15 +3,16 @@
 A tournament on n vertices is an orientation of the complete graph K_n.
 Adjacency is stored as one out-neighbour bitset per vertex.
 
-Cycles of length 3 to 8 are closed-walk counts: tr(A^l), from int64
-matrix powers, minus the closed walks that repeat a vertex, which Moebius
+3-cycles come from the out-degrees alone (Goodman's formula).  Cycles
+of length 4 to 8 are closed-walk counts: tr(A^l), from int64 matrix
+powers, minus the closed walks that repeat a vertex, which Moebius
 inversion over the set partitions of the l walk positions writes as a few
 einsum contractions of A (none for l <= 5, since a tournament has no loops
 and no 2-cycles).  Longer cycles are counted once each, at their highest
 vertex h, by one subset DP, ``_path_layer``: paths from h over
 (visited-subset, last-vertex) states of the vertices below h, one popcount
-layer at a time, stopped at layer l-1 and closed back to h, all in one
-process.  The same DP run to the full layer is ``cycle_sum``, which sums
+layer per ``einsum``, stopped at layer l-1 and closed back to h, all in
+one process.  The same DP run to the full layer is ``cycle_sum``, which sums
 the Hamiltonian cycles of a batch of matrices and computes the cyclic
 index of sign matrices (signsearch).  Its integer dtype is the narrowest
 of int16, int32 and int64 that a proven bound allows, so it is exact for
@@ -263,10 +264,10 @@ def _path_layer(start: np.ndarray, inner: np.ndarray, steps: list, t: int) -> np
     and ``inner`` (p, p, batch) the weights among them.  Bellman / Held-Karp
     subset DP: dp[r, v] sums the paths from the anchor through exactly the
     vertex set r that end at v, with dp[{v}, v] = start[v].  A step computes
-    prod[r, v] = sum over u < t of dp[r, u] * inner[u, v] for a whole layer,
-    one multiply and one add per u, and moves the entries with v not in r
-    to dp[r + {v}, v] of the next layer.  The dtype is that of ``start``.
-    ``np.take`` copies a non-writeable index array such as a cached
+    prod[r, v] = sum over u < t of dp[r, u] * inner[u, v] for a whole layer
+    in one ``einsum``, batch axis last and in the dtype of ``start``, and
+    gathers the entries with v not in r into dp[r + {v}, v] of the next
+    layer.  ``np.take`` copies a non-writeable index array such as a cached
     ``_cycle_steps`` table; a step's slice is at most 2 772 intp indices
     (22 176 B, order 12), so that copy is left alone.
     """
@@ -275,12 +276,8 @@ def _path_layer(start: np.ndarray, inner: np.ndarray, steps: list, t: int) -> np
     dp[range(t), range(t)] = start[:t]
     for k, (src, dst) in enumerate(steps, start=1):
         size = (k + 1) * math.comb(t, k + 1)
-        prod = dp[:, 0, None] * inner[0]
-        tmp = np.empty_like(prod)
-        for u in range(1, t):
-            prod += np.multiply(dp[:, u, None], inner[u], out=tmp)
-        moved = tmp.reshape(-1, batch)[:size]  # tmp is free: gather into it
-        np.take(prod.reshape(-1, batch), src[:size], axis=0, out=moved, mode="clip")
+        prod = np.einsum("rub,uvb->rvb", dp[:, :t], inner[:t])
+        moved = np.take(prod.reshape(-1, batch), src[:size], axis=0, mode="clip")
         dp = np.zeros((math.comb(t, k + 1), p, batch), dtype=start.dtype)
         dp.reshape(-1, batch)[dst[:size]] = moved
     return dp
@@ -293,7 +290,8 @@ def cycle_sum(w: np.ndarray) -> np.ndarray:
     entries in {-1, 0, 1}, batch on the last axis.  Each directed cycle
     0 -> v1 -> ... -> v_{m-1} -> 0 contributes the product of its m weights;
     the result is int64[batch].  This is ``_path_layer`` from vertex 0 run
-    to the full layer and closed back to 0, in the dtype of ``_dp_dtype``.
+    to the full layer, one ``einsum`` over the whole batch per layer, and
+    closed back to 0, in the dtype of ``_dp_dtype``.
     For a 0/1 tournament adjacency it counts the directed Hamiltonian
     cycles, each once since the anchor fixes the rotation; for a skew sign
     matrix it is the cyclic index divided by m.  Its index tables are
@@ -405,7 +403,7 @@ def _trace_cycle_count(t: Tournament, length: int) -> int:
     powers = [a]  # A^1 .. A^ceil(l/2)
     while len(powers) < length - length // 2:
         powers.append(powers[-1] @ a)
-    total = int(np.einsum("ij,ji->", powers[length // 2 - 1], powers[-1]))
+    total = int(np.vdot(powers[length // 2 - 1], powers[-1].T))
     for coefficient, subscripts, steps in _walk_corrections(length):
         operands = [a] * (subscripts.count(",") + 1)
         for pos, pair in steps:
@@ -421,8 +419,9 @@ def _count_bytes(n: int, length: int) -> int:
 
     Over the p = n-1 lower vertices, step k <= l-2 keeps 2 * (k+1) *
     binom(p, k+1) int64 indices (every step's are held, and building the
-    last takes as much again) and holds dp, its product and a buffer
-    (binom(p, k) * p entries each) and the next layer.
+    last takes as much again) and holds dp, its ``einsum`` product and the
+    slice gathered from that product (at most binom(p, k) * p entries
+    each) and the next layer.
     """
     p, item = n - 1, np.dtype(_dp_dtype(length)).itemsize
     ks = range(1, length - 1)
@@ -434,17 +433,21 @@ def _count_bytes(n: int, length: int) -> int:
 def exact_cycle_count(t: Tournament, length: int) -> int:
     """Exact number of directed cycles of the given length in ``t``.
 
-    Lengths 3 to 8 are closed-walk counts (``_trace_cycle_count``).  A
-    longer cycle is counted once, at its highest vertex h: ``_path_layer``
-    from h over the subsets of range(h), stopped at layer l-1 and closed
-    back to h, summed over h.  One set of index tables, built for range(n-1),
-    serves every h as prefixes.  A count whose ``_count_bytes`` estimate
-    exceeds ``COUNT_MAX_BYTES`` is refused before the adjacency is built.
+    Length 3 is ``goodman_count3``, from the out-degrees, so it has no
+    n^l bound.  Lengths 4 to 8 are closed-walk counts
+    (``_trace_cycle_count``).  A longer cycle is counted once, at its
+    highest vertex h: ``_path_layer`` from h over the subsets of range(h),
+    one ``einsum`` per layer, stopped at layer l-1 and closed back to h,
+    summed over h.  One set of index tables, built for range(n-1), serves
+    every h as prefixes.  A count whose ``_count_bytes`` estimate exceeds
+    ``COUNT_MAX_BYTES`` is refused before the adjacency is built.
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > t.n:
         return 0
+    if length == 3:
+        return goodman_count3(t)
     if length <= 8:
         return _trace_cycle_count(t, length)
     if length > 21:
@@ -469,9 +472,7 @@ def goodman_count3(t: Tournament) -> int:
     """3-cycle count from the degree sequence: binom(n,3) - sum_i binom(d_i, 2)."""
     if t.n < 3:
         raise ValueError("needs at least 3 vertices")
-    return math.comb(t.n, 3) - sum(
-        math.comb(t.out_degree(i), 2) for i in range(t.n)
-    )
+    return math.comb(t.n, 3) - sum(math.comb(d, 2) for d in map(int.bit_count, t.out))
 
 
 def expected_random_cycles(n: int, length: int) -> float:

@@ -36,6 +36,7 @@ from tourcycles.spectral import (
     trace_power,
 )
 from tourcycles.tournaments import (
+    _trace_cycle_count,
     exact_cycle_count,
     goodman_count3,
     make_carousel,
@@ -281,17 +282,17 @@ def test_criterion_11_oracle_equivalence():
         if cyclic_index_fast(b) != cyclic_index_def(b):
             ok = False
             break
-    # 3-cycles by the trace form (exact_cycle_count) and by the subset DP
+    # 3-cycles by the trace form (_trace_cycle_count) and by the subset DP
     # (cycle_sum on every 3-subset) against the degree-sequence formula
     for n in (3, 4, 5):
         for t in all_tournaments(n):
-            if not exact_cycle_count(t, 3) == dp_cycle_count(t, 3) == goodman_count3(t):
+            if not _trace_cycle_count(t, 3) == dp_cycle_count(t, 3) == goodman_count3(t):
                 ok = False
                 break
     for _ in range(500):
         n = int(rng.integers(6, 10))
         t = random_tournament(n, rng)
-        if not exact_cycle_count(t, 3) == dp_cycle_count(t, 3) == goodman_count3(t):
+        if not _trace_cycle_count(t, 3) == dp_cycle_count(t, 3) == goodman_count3(t):
             ok = False
             break
     report(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tourcycles import tournaments
 from tourcycles.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from tourcycles.limits import carousel_tournamenton
 from tourcycles.spectral import format_matrix
@@ -53,8 +54,13 @@ class TestCount:
         multi = run_cli(*args, "--workers", "4")
         assert multi == base and base[0] == EXIT_OK
 
-    def test_short_length_is_usage_error(self):
-        code, out, err = run_cli("count", "--carousel", "5", "--length", "2")
+    def test_short_length_is_usage_error(self, monkeypatch):
+        # refused before count builds its O(n^2) tournament, not by the library
+        def no_sample(n, seed):
+            raise AssertionError("the tournament was built")
+
+        monkeypatch.setattr(tournaments, "sample_random", no_sample)
+        code, out, err = run_cli("count", "--random", "5000", "--length", "2")
         assert (code, out) == (EXIT_USAGE, "") and "cycle length must be >= 3" in err
 
     def test_zero_workers_is_usage_error(self):

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -629,9 +630,24 @@ class TestSearch:
             b = mask_to_matrix(8, int(mask))
             assert matrix_to_mask(b) == int(mask)
 
-    def test_mask_packing_refuses_order_above_8(self):
-        with pytest.raises(ValueError):
-            mask_to_matrix(9, 0)
+    @pytest.mark.parametrize("restrict", [True, False])
+    @pytest.mark.parametrize("n", range(9, signsearch.MAX_ORDER + 1))
+    def test_mask_round_trip_above_order_8(self, n, restrict):
+        # the mask is the signs of the last k pairs in row-major order, the
+        # last pair in bit 0, read here from the matrix itself
+        k = math.comb(n - restrict, 2)
+        rng = random.Random(n)
+        iu, ju = np.triu_indices(n, 1)
+        for mask in (0, (1 << k) - 1, rng.getrandbits(k), rng.getrandbits(k)):
+            b = mask_to_matrix(n, mask, restrict)
+            signs = b.to_array()[iu, ju]
+            assert np.all(signs[: len(signs) - k] == 1)
+            assert int("".join("1" if x > 0 else "0" for x in signs[-k:]), 2) == mask
+            assert matrix_to_mask(b, restrict) == mask
+
+    def test_mask_packing_refuses_order_above_12(self):
+        with pytest.raises(ValueError, match="limited to order 12"):
+            mask_to_matrix(signsearch.MAX_ORDER + 1, 0)
 
     @pytest.mark.parametrize("n,mask,restrict", [
         (n, mask, restrict)

@@ -14,7 +14,9 @@ from tourcycles.tournaments import (
     DegreeSequence,
     Tournament,
     _cycle_steps,
+    _count_bytes,
     _dp_dtype,
+    _trace_cycle_count,
     _walk_corrections,
     cycle_sum,
     exact_cycle_count,
@@ -38,6 +40,7 @@ from conftest import (
     dp_cycle_count,
     random_tournament,
     tournament_from_bits,
+    traced_peak,
 )
 
 
@@ -203,9 +206,12 @@ class TestCycleSum:
     def test_complete_digraph_has_every_order(self, m):
         # J - I closes all (m-1)! orderings; 8/9 and 13/14 straddle the
         # int16 and int32 rungs, and at 10 a partial sum (8! paths) first
-        # leaves int16
-        w = np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8)
-        assert cycle_sum(w[:, :, None]).tolist() == [math.factorial(m - 1)]
+        # leaves int16.  A batch of three checks that each batch entry
+        # accumulates exactly: -(J - I) gives every tour the sign (-1)^m.
+        j = np.ones((m, m), dtype=np.int8) - np.eye(m, dtype=np.int8)
+        w = np.stack([j, -j, np.zeros_like(j)], axis=-1)
+        f = math.factorial(m - 1)
+        assert cycle_sum(w).tolist() == [f, (-1) ** m * f, 0]
 
     def test_dtype_rungs_follow_the_factorial_bound(self):
         rungs = [_dp_dtype(m) for m in (3, 8, 9, 13, 14, 21)]
@@ -323,17 +329,29 @@ class TestTraceForm:
         [(3, 2_097_152), (4, 55_109), (5, 6_209), (6, 1_449), (7, 512), (8, 235)],
     )
     def test_int64_bound_refused_before_building(self, length, n):
+        # exact_cycle_count takes 3-cycles from the out-degrees, so the
+        # trace form's bound at l = 3 is checked on the trace form itself
+        count = _trace_cycle_count if length == 3 else exact_cycle_count
         assert (n - 1) ** length < 1 << 63 <= n**length
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="overflow"):
-                exact_cycle_count(_OrderOnly(n), length)
+                count(_OrderOnly(n), length)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         with pytest.raises(LookupError):  # one vertex fewer passes the check
-            exact_cycle_count(_OrderOnly(n - 1), length)
+            count(_OrderOnly(n - 1), length)
+
+    def test_three_cycles_have_no_int64_bound(self):
+        # exact_cycle_count reads 3-cycles from the out-degrees alone, so the
+        # order the trace form refuses at l = 3 passes (here every out-set
+        # of the stand-in is empty, so Goodman's formula gives binom(n, 3))
+        n = 2_097_152
+        stand_in = _OrderOnly(n)
+        stand_in.out = (0,) * n
+        assert exact_cycle_count(stand_in, 3) == math.comb(n, 3)
 
     def test_counts_start_no_process(self, monkeypatch):
         def no_fork():
@@ -388,6 +406,15 @@ class TestAnchoredCount:
         assert peak < 1 << 20
         assert f"{COUNT_MAX_BYTES >> 20} MiB limit" in str(err.value)
 
+    @pytest.mark.parametrize("n, length", [(16, 10), (18, 12)])
+    def test_traced_peak_within_estimate(self, n, length):
+        t = sample_random(n, seed=n + length)
+        assert traced_peak(exact_cycle_count, t, length) <= _count_bytes(n, length)
+
+    def test_budget_refuses_order_24_at_12(self):
+        with pytest.raises(ValueError, match="needs about 1,259 MiB"):
+            exact_cycle_count(_OrderOnly(24), 12)
+
     @pytest.mark.parametrize("length", [9, 10, 11, 12])
     def test_budget_admits_order_18(self, length):
         with pytest.raises(LookupError):  # passes the check, then builds
@@ -407,23 +434,24 @@ class TestGoodman:
     def test_carousel5(self):
         assert goodman_count3(make_carousel(5)) == 5
 
-    # each count goes through both the trace form (exact_cycle_count) and
-    # the subset DP (dp_cycle_count runs cycle_sum on every 3-subset)
+    # each count goes through both the trace form (_trace_cycle_count; the
+    # count of exact_cycle_count is Goodman's itself) and the subset DP
+    # (dp_cycle_count runs cycle_sum on every 3-subset)
     def test_carousel9(self):
         # binom(9,3) - 9*binom(4,2) = 84 - 54
         t = make_carousel(9)
-        assert goodman_count3(t) == 30 == exact_cycle_count(t, 3) == dp_cycle_count(t, 3)
+        assert goodman_count3(t) == 30 == _trace_cycle_count(t, 3) == dp_cycle_count(t, 3)
 
     def test_exhaustive_small(self):
         for n in (3, 4, 5):
             for t in all_tournaments(n):
-                assert goodman_count3(t) == exact_cycle_count(t, 3) == dp_cycle_count(t, 3)
+                assert goodman_count3(t) == _trace_cycle_count(t, 3) == dp_cycle_count(t, 3)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(6, 9), seed=st.integers(0, 2**32 - 1))
     def test_random_agreement(self, n, seed):
         t = random_tournament(n, np.random.default_rng(seed))
-        assert goodman_count3(t) == exact_cycle_count(t, 3) == dp_cycle_count(t, 3)
+        assert goodman_count3(t) == _trace_cycle_count(t, 3) == dp_cycle_count(t, 3)
 
 
 class TestDensities:
