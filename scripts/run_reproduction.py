@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="reproduction_report.json")
     args = parser.parse_args(argv)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = {
         "order4": order4_section(),
         "constants": constants_section(),
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     }
     if not args.skip_order8:
         report["order8"] = order8_section(args.workers)
-    report["elapsed_seconds"] = time.time() - t0
+    report["elapsed_seconds"] = time.perf_counter() - t0
 
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -17,7 +17,9 @@ anchored at vertex 0; its values at all 2^k sign patterns are one
 Walsh-Hadamard transform of that vector, stored for the masks whose top
 free bit is 0 (flipping every free sign multiplies Cycl by (-1)^n), one
 2^16-mask block at a time, as int8 multiples of one unit (1 MiB at order
-8); the report reads that half alone, and a checkpoint is a checked copy.
+8); the report reads that half alone, once per process (its max, min,
+achiever count and classes are cached beside it), and a checkpoint is a
+checked copy.
 ``cyclic_index_fast`` keeps the subset DP of ``tournaments.cycle_sum`` and
 ``cyclic_index_def`` the literal permutation sum; both re-check the
 search's answers independently.
@@ -499,7 +501,12 @@ def batch_cyclic_index(n: int, masks: np.ndarray, restrict: bool = True) -> np.n
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of an exhaustive cyclic-index search over one matrix order."""
+    """Outcome of an exhaustive cyclic-index search over one matrix order.
+
+    Every report is checked when built (ValueError): each representative's
+    cyclic index, by the subset DP, is the maximum, and the
+    representatives' canonical forms are distinct.
+    """
 
     order: int
     max_cyclic_index: int
@@ -515,9 +522,8 @@ class SearchReport:
         for a in reps:
             if cyclic_index_fast(a) != self.max_cyclic_index:
                 raise ValueError("achiever class representative misses the maximum")
-        for x, y in itertools.combinations(reps, 2):
-            if sign_equivalent(x, y):
-                raise ValueError("achiever class representatives must be inequivalent")
+        if len({canonical_form(a) for a in reps}) < len(reps):
+            raise ValueError("achiever class representatives must be inequivalent")
 
     def to_json_dict(self, include_elapsed: bool = True) -> dict:
         d = {
@@ -600,9 +606,11 @@ def search_max_cyclic_index(
     With ``restrict_first_row`` the enumeration covers matrices whose first
     row is +1 (one representative set per class); the full enumeration is
     supported at order 4 as an independent cross-check.  The report is the
-    max, min and maximizers of one cached half table (the upper half's are
-    the complements of the lower's), read in this process whatever
-    ``workers`` is (it must be >= 1; no pool is started).  With
+    max, min, achiever count and classes of one cached half table, read
+    once per process per (order, restrict_first_row) by ``_table_read``
+    like the table itself, whatever ``workers`` is (it must be >= 1; no
+    pool is started); every call builds and validates a fresh report, and
+    ``elapsed_seconds`` is a ``time.perf_counter`` difference.  With
     ``checkpoint_path`` the table is also recorded in ``chunk_size`` chunks
     and the file replaced (``.tmp`` and rename) once, after the chunk loop,
     if it recorded a new chunk.  An exception that stops the loop
@@ -620,9 +628,8 @@ def search_max_cyclic_index(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    t0 = time.time()
-    table, unit = _cycle_sum_table(order, restrict_first_row)
-    total = 2 * len(table)
+    t0 = time.perf_counter()
+    total = 2 * len(_cycle_sum_table(order, restrict_first_row)[0])
     if checkpoint_path:
         step = min(chunk_size, total)
         params = {"order": order, "restrict_first_row": restrict_first_row, "chunk_size": step}
@@ -647,21 +654,37 @@ def search_max_cyclic_index(
                     fh.write(head + ", ".join(old + new) + "}}")
                 os.replace(tmp_path, checkpoint_path)
 
-    best = table.max()
-    # compared in 2^16-mask slices, so no table-sized boolean temporary exists
-    hits = [np.flatnonzero(table[i : i + 65536] == best) + i for i in range(0, len(table), 65536)]
-    achievers = np.concatenate(hits + [(total - 1 - np.concatenate(hits))[::-1]])  # still sorted
-    gmax = unit * int(best)
+    gmax, gmin, count, classes = _table_read(order, restrict_first_row)
     return SearchReport(
         order=order,
         max_cyclic_index=gmax,
-        min_cyclic_index=unit * int(table.min()),
-        achiever_count=len(achievers),
-        achiever_classes=tuple(_classify_achievers(order, achievers, restrict_first_row, gmax)),
+        min_cyclic_index=gmin,
+        achiever_count=count,
+        achiever_classes=classes,
         matrices_scanned=total,
-        elapsed_seconds=time.time() - t0,
+        elapsed_seconds=time.perf_counter() - t0,
         restricted_first_row=restrict_first_row,
     )
+
+
+@lru_cache(maxsize=None)
+def _table_read(n: int, restrict: bool) -> tuple[int, int, int, tuple[SkewSignMatrix, ...]]:
+    """(max, min, achiever count, classes) of the cached table, read once per process.
+
+    The maximizers are listed in 2^16-mask slices (no table-sized boolean
+    temporary), those of the upper half being the complements of the
+    lower's, and ``_classify_achievers`` buckets them, checking every
+    class's slice members (AssertionError, which is not cached).  Only the
+    four values are kept: the int64 maximizer array (200 KB at order 8) is
+    dropped once classified.
+    """
+    table, unit = _cycle_sum_table(n, restrict)
+    best = table.max()
+    hits = [np.flatnonzero(table[i : i + 65536] == best) + i for i in range(0, len(table), 65536)]
+    achievers = np.concatenate(hits + [(2 * len(table) - 1 - np.concatenate(hits))[::-1]])  # sorted
+    gmax = unit * int(best)
+    classes = tuple(_classify_achievers(n, achievers, restrict, gmax))
+    return gmax, unit * int(table.min()), len(achievers), classes
 
 
 def _classify_achievers(

@@ -23,6 +23,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from tourcycles import signsearch
 from tourcycles.tournaments import Tournament, cycle_sum
 
 
@@ -59,6 +60,16 @@ def dp_cycle_count(t: Tournament, length: int) -> int:
     """Cycles of the given length by ``cycle_sum`` on every l-subset, in one batch."""
     subsets = np.array(list(combinations(range(t.n), length))).T
     return int(cycle_sum(t.adjacency()[subsets[:, None, :], subsets[None, :, :]]).sum())
+
+
+def clear_table_caches() -> None:
+    """Drop the cached cyclic-index tables and the search's cached read of them, together.
+
+    ``signsearch._table_read`` holds values read off ``_cycle_sum_table``, so
+    a test that clears the table clears the read with it.
+    """
+    signsearch._cycle_sum_table.cache_clear()
+    signsearch._table_read.cache_clear()
 
 
 def traced_peak(fn, *args) -> int:

@@ -3,7 +3,9 @@
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
+import time
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_reproduction.py"
@@ -33,3 +35,12 @@ def test_run_reproduction_confirms_every_claim(tmp_path):
         "elapsed_seconds",
     }
     assert report["order8"]["contains_dominant"] and report["order8"]["contains_second_class"]
+
+
+def test_elapsed_ignores_a_wall_clock_step(tmp_path, monkeypatch):
+    ticks = itertools.count(2e9, -3600.0)  # the wall clock runs back an hour a read
+    monkeypatch.setattr(time, "time", lambda: next(ticks))
+    out_path = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert load_script().main(["--skip-order8", "--out", str(out_path)]) == 0
+    assert json.loads(out_path.read_text())["elapsed_seconds"] >= 0

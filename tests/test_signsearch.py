@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +18,7 @@ from tourcycles import signsearch
 from tourcycles.limits import _tangent_number, conjectured_c
 from tourcycles.signsearch import (
     CERTIFIED,
+    SearchReport,
     SkewSignMatrix,
     _classify_achievers,
     _cycle_sum_table,
@@ -39,6 +42,7 @@ from conftest import (
     brute_canonical_bits,
     brute_cycle_sum,
     brute_slice_masks,
+    clear_table_caches,
     gather_orbit,
     switching_class_count,
     traced_peak,
@@ -899,6 +903,99 @@ class TestSearch:
         golden = Path(__file__).parent / "golden" / "verify-lemma-order8.json"
         assert json.dumps(dict(report, confirmed=True), indent=2) + "\n" == golden.read_text()
         assert path.read_text() == text
+
+
+    def test_second_search_reads_the_cached_table_read(self, monkeypatch):
+        calls = []
+        real = signsearch._classify_achievers
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(signsearch, "_classify_achievers", counted)
+        clear_table_caches()
+        first = search_max_cyclic_index(8).to_json_dict(include_elapsed=False)
+        assert calls == [8]
+        second = search_max_cyclic_index(8).to_json_dict(include_elapsed=False)
+        assert second == first and calls == [8]  # no classification on the cached read
+        # the cache holds the four values alone, no maximizer array
+        gmax, gmin, count, classes = signsearch._table_read(8, True)
+        assert [type(v) for v in (gmax, gmin, count, classes)] == [int, int, int, tuple]
+        assert (gmax, gmin, count, [c.bits for c in classes]) == (2176, -8064, 25200, [0, 1152])
+
+    def test_order4_restricted_and_full_reads_are_separate(self):
+        clear_table_caches()
+        restricted = search_max_cyclic_index(4)
+        full = search_max_cyclic_index(4, restrict_first_row=False)
+        assert signsearch._table_read.cache_info().currsize == 2
+        assert signsearch._table_read(4, True) == (8, -24, 6, restricted.achiever_classes)
+        assert signsearch._table_read(4, False) == (8, -24, 48, full.achiever_classes)
+        assert restricted.achiever_classes is signsearch._table_read(4, True)[3]
+        assert full.achiever_classes is signsearch._table_read(4, False)[3]
+        assert restricted.achiever_classes is not full.achiever_classes
+
+    def test_cleared_read_checks_the_classification_again(self, monkeypatch):
+        search_max_cyclic_index(8)
+        stray = int(np.flatnonzero(batch_cyclic_index(8, np.arange(64)) != 2176)[0])
+        real = signsearch._orbit
+
+        def doctored(b):
+            bits, orbit = real(b)
+            orbit[0] = stray  # a non-achiever posing as a class member
+            return bits, orbit
+
+        monkeypatch.setattr(signsearch, "_orbit", doctored)
+        assert search_max_cyclic_index(8).max_cyclic_index == 2176  # cached: nothing classified
+        clear_table_caches()
+        for _ in range(2):  # a failed read is not cached
+            with pytest.raises(AssertionError, match=f"orbit member {stray} of an achiever misses"):
+                search_max_cyclic_index(8)
+
+    @pytest.mark.parametrize("order,kwargs", [(4, {}), (8, {}), (8, {"checkpoint": True})])
+    def test_elapsed_ignores_a_wall_clock_step(self, tmp_path, monkeypatch, order, kwargs):
+        want = search_max_cyclic_index(order).to_json_dict(include_elapsed=False)
+        ticks = itertools.count(2e9, -3600.0)  # the wall clock runs back an hour a read
+        monkeypatch.setattr(time, "time", lambda: next(ticks))
+        path = str(tmp_path / "ck.json") if kwargs else None
+        report = search_max_cyclic_index(order, checkpoint_path=path)
+        assert report.elapsed_seconds >= 0
+        assert report.to_json_dict(include_elapsed=False) == want
+
+
+class TestSearchReport:
+    @staticmethod
+    def report(*classes: SkewSignMatrix) -> SearchReport:
+        return SearchReport(
+            order=8,
+            max_cyclic_index=2176,
+            min_cyclic_index=-8064,
+            achiever_count=25200,
+            achiever_classes=classes,
+            matrices_scanned=1 << 21,
+            elapsed_seconds=0.0,
+        )
+
+    def test_certified_classes_accepted(self):
+        fx = fixtures()
+        assert self.report(fx.d8, fx.d8_alt).achiever_classes == (fx.d8, fx.d8_alt)
+        assert self.report().achiever_classes == ()
+
+    def test_representative_missing_the_maximum_refused(self):
+        fx = fixtures()
+        low = mask_to_matrix(8, 2)
+        assert cyclic_index_def(low) != 2176
+        with pytest.raises(ValueError, match="misses the maximum"):
+            self.report(fx.d8, low)
+
+    def test_equivalent_representatives_refused(self):
+        fx = fixtures()
+        twin = transform_sign_matrix(fx.d8, [3, 1, 4, 0, 7, 5, 2, 6], [1, 5])
+        assert twin != fx.d8 and cyclic_index_def(twin) == 2176
+        # the equivalent pair need not be adjacent
+        for reps in [(fx.d8, twin), (fx.d8, fx.d8_alt, twin), (fx.d8_alt_blocks, fx.d8, fx.d8_alt)]:
+            with pytest.raises(ValueError, match="must be inequivalent"):
+                self.report(*reps)
 
 
 class TestCertificateChain:
